@@ -96,8 +96,6 @@ inline const char* schedulerName(machine::SchedulerKind k) {
     case machine::SchedulerKind::Reference: return "Reference";
     case machine::SchedulerKind::Synchronous: return "Synchronous";
     case machine::SchedulerKind::EventDriven: return "EventDriven";
-    case machine::SchedulerKind::ParallelEventDriven:
-      return "ParallelEventDriven";
     case machine::SchedulerKind::Compiled: return "Compiled";
   }
   return "?";

@@ -1,23 +1,36 @@
-// SERVE — multi-tenant serving throughput: lane-batched execution
-// (serve::Server, laneWidth B) against serial per-session runs (laneWidth 1)
-// on the F6 forall workload (ex1, m = 1024), measured as a load test: N
-// concurrent one-shot requests with per-request random inputs.
+// SERVE — multi-tenant serving throughput on the F6 forall workload (ex1,
+// m = 1024), measured as load tests: N concurrent one-shot requests with
+// per-request random inputs.
 //
-// What batching buys: every firing of the shared graph carries B tenants'
-// operands as one lane-pack Value, so the per-firing scheduling cost (ready
-// queue, enabling test, acknowledge mechanics) is paid once instead of B
-// times.  Both configurations run ONE worker thread — the speedup measured
-// here is batching, not parallelism, so it is meaningful on a 1-core
-// container too.
+// Lane batching: lane-batched execution (serve::Server, laneWidth B)
+// against serial per-session runs (laneWidth 1).  Every firing of the shared
+// graph carries B tenants' operands as one lane-pack Value, so the
+// per-firing scheduling cost (ready queue, enabling test, acknowledge
+// mechanics) is paid once instead of B times.  Both configurations run ONE
+// worker thread — the speedup measured there is batching, not parallelism,
+// so it is meaningful on a 1-core container too.
+//
+// Worker scaling: laneWidth 1 at 1 / 2 / 4 executor threads.  A graph of
+// tens of cells has under a microsecond of firing work per instruction
+// time, less than one cross-core synchronization, so the unit of parallel
+// work is a whole graph run: the worker pool runs independent sessions
+// side by side.  One warm-up sweep is discarded (the first sweep reads near
+// 1x while threads and allocators warm), then the median of 5 sweeps in
+// alternating worker order is taken.
 //
 // Correctness gate: every response is bit-compared against a direct
 // per-session EventDriven simulate() of the same inputs; any mismatch fails
-// the bench.  Claim gate: batched requests/sec must be >= 2x serial.
+// the bench.  Claim gates: batched requests/sec must be >= 2x serial, and
+// 4 workers must reach >= 2.5x the requests/sec of 1 worker when the host
+// has at least 4 hardware threads (otherwise the JSON records the scaling
+// gate as skipped, with the reason).
 #include "bench_common.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <map>
+#include <thread>
 
 #include "serve/lanes.hpp"
 #include "serve/server.hpp"
@@ -36,6 +49,28 @@ function ex1(B, C: array[real] [0, m+1] returns array[real])
   endall
 endfun
 )";
+}
+
+/// One request: its inputs and the outputs a direct run produces for them.
+struct Request {
+  run::StreamMap inputs;
+  std::vector<Value> expected;
+};
+
+/// `n` requests with per-request random inputs, each paired with a direct
+/// per-session EventDriven run — the bit-identity reference.
+std::vector<Request> makeRequests(const core::CompiledProgram& prog, int n) {
+  std::vector<Request> reqs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Request& r = reqs[static_cast<std::size_t>(i)];
+    r.inputs = bench::randomInputs(prog, 1000u + 17u * unsigned(i));
+    machine::RunOptions ro;
+    ro.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+    r.expected = machine::simulate(prog.graph, machine::MachineConfig::unit(),
+                                   r.inputs, ro)
+                     .outputs.at(prog.outputName);
+  }
+  return reqs;
 }
 
 struct LoadResult {
@@ -59,14 +94,14 @@ double percentile(std::vector<double> v, double p) {
   return v[std::min(idx, v.size() - 1)];
 }
 
-/// Fires `n` concurrent one-shot requests at a fresh server and checks every
-/// response bit-for-bit against a direct EventDriven run of that request's
-/// inputs.
-LoadResult loadTest(const std::string& source,
-                    const core::CompiledProgram& prog, int laneWidth, int n) {
+/// Fires the first `n` of `reqs` as concurrent one-shot requests at a fresh
+/// server and checks every response bit-for-bit against its direct run.
+LoadResult loadTest(const std::string& source, const std::string& output,
+                    const std::vector<Request>& reqs, int n, int laneWidth,
+                    int workers) {
   serve::ServerConfig cfg;
   cfg.laneWidth = laneWidth;
-  cfg.workers = 1;
+  cfg.workers = workers;
   cfg.maxSessions = n + 1;
   cfg.batchWindowMicros = laneWidth > 1 ? 500 : 0;
   serve::Server server(cfg);
@@ -74,20 +109,16 @@ LoadResult loadTest(const std::string& source,
   core::CompileOptions copts;
   copts.lower = true;
 
-  std::vector<run::StreamMap> inputs;
-  inputs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    inputs.push_back(bench::randomInputs(prog, 1000u + 17u * unsigned(i)));
-
-  // Warm the compile-once cache so both configurations measure serving, not
-  // one compile.
-  server.submit(source, copts, inputs[0]).get();
+  // Warm the compile-once cache so every configuration measures serving,
+  // not one compile.
+  server.submit(source, copts, reqs[0].inputs).get();
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::future<serve::Response>> futs;
   futs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    futs.push_back(server.submit(source, copts, inputs[static_cast<std::size_t>(i)]));
+    futs.push_back(
+        server.submit(source, copts, reqs[static_cast<std::size_t>(i)].inputs));
   std::vector<serve::Response> responses;
   responses.reserve(static_cast<std::size_t>(n));
   for (auto& f : futs) responses.push_back(f.get());
@@ -111,15 +142,10 @@ LoadResult loadTest(const std::string& source,
 
   // Bit-identity gate: served outputs == a direct per-session run.
   for (int i = 0; i < n; ++i) {
-    machine::RunOptions ro;
-    ro.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-    const machine::MachineResult direct =
-        machine::simulate(prog.graph, machine::MachineConfig::unit(),
-                          inputs[static_cast<std::size_t>(i)], ro);
-    const auto it = responses[static_cast<std::size_t>(i)].outputs.find(
-        prog.outputName);
-    if (it == responses[static_cast<std::size_t>(i)].outputs.end() ||
-        it->second != direct.outputs.at(prog.outputName)) {
+    const auto& got = responses[static_cast<std::size_t>(i)].outputs;
+    const auto it = got.find(output);
+    if (it == got.end() ||
+        it->second != reqs[static_cast<std::size_t>(i)].expected) {
       r.allIdentical = false;
       break;
     }
@@ -152,25 +178,56 @@ int main(int argc, char** argv) {
   constexpr std::int64_t kM = 1024;
   constexpr int kRequests = 32;
   constexpr int kLanes = 8;
+  constexpr int kSweepRequests = 256;
+  constexpr int kSweepReps = 5;
+  constexpr int kWorkerCounts[] = {1, 2, 4};
+  constexpr double kScalingGate = 2.5;
+  const unsigned cores = std::thread::hardware_concurrency();
 
   bench::banner(
-      "SERVE (multi-tenant lane batching)",
-      "lane-batched serving vs serial per-session runs, F6 forall m=1024",
-      ">= 2x requests/sec at lane width 8 on one worker thread; every "
+      "SERVE (multi-tenant lane batching and worker scaling)",
+      "lane-batched serving vs serial per-session runs, and 1/2/4 executor "
+      "workers, F6 forall m=1024",
+      ">= 2x requests/sec at lane width 8 on one worker thread; >= 2.5x "
+      "requests/sec at 4 workers vs 1 given >= 4 hardware threads; every "
       "response bit-identical to a direct per-session EventDriven run");
 
   const std::string source = forallSource(kM);
   core::CompileOptions copts;
   copts.lower = true;
   const core::CompiledProgram prog = core::compileSource(source, copts);
+  const std::vector<Request> reqs = makeRequests(prog, kSweepRequests);
+  const std::string& out = prog.outputName;
 
-  const LoadResult serial = loadTest(source, prog, /*laneWidth=*/1, kRequests);
+  const LoadResult serial =
+      loadTest(source, out, reqs, kRequests, /*laneWidth=*/1, /*workers=*/1);
   const LoadResult batched =
-      loadTest(source, prog, /*laneWidth=*/kLanes, kRequests);
+      loadTest(source, out, reqs, kRequests, kLanes, /*workers=*/1);
   const double speedup = batched.requestsPerSec / serial.requestsPerSec;
-  const bool pass = serial.allOk && batched.allOk && serial.allIdentical &&
-                    batched.allIdentical && speedup >= 2.0 &&
-                    batched.maxLanesSeen >= 4;
+  const bool batchPass = serial.allOk && batched.allOk &&
+                         serial.allIdentical && batched.allIdentical &&
+                         speedup >= 2.0 && batched.maxLanesSeen >= 4;
+
+  // Worker sweep: rep -1 is the discarded warm-up; odd reps run the worker
+  // counts in reverse so slow drift does not favour either end.
+  std::map<int, std::vector<double>> sweepRps;
+  bool sweepOk = true, sweepIdentical = true;
+  for (int rep = -1; rep < kSweepReps; ++rep) {
+    std::vector<int> order(std::begin(kWorkerCounts), std::end(kWorkerCounts));
+    if (rep % 2 != 0) std::reverse(order.begin(), order.end());
+    for (int workers : order) {
+      const LoadResult r = loadTest(source, out, reqs, kSweepRequests,
+                                    /*laneWidth=*/1, workers);
+      sweepOk = sweepOk && r.allOk;
+      sweepIdentical = sweepIdentical && r.allIdentical;
+      if (rep >= 0) sweepRps[workers].push_back(r.requestsPerSec);
+    }
+  }
+  const double base = percentile(sweepRps[1], 0.5);
+  const double scaling = percentile(sweepRps[4], 0.5) / base;
+  const bool scalingChecked = cores >= 4;
+  const bool scalingPass = !scalingChecked || scaling >= kScalingGate;
+  const bool pass = batchPass && sweepOk && sweepIdentical && scalingPass;
 
   TextTable table({"config", "req/s", "p50 us", "p99 us", "runs", "lanes",
                    "batched", "max lanes", "identical"});
@@ -186,19 +243,56 @@ int main(int argc, char** argv) {
   addRow("serial (B=1)", serial);
   addRow("batched (B=8)", batched);
   std::printf("%s\n", table.str().c_str());
-  std::printf("speedup: %.2fx (gate: >= 2x with >= 4 lanes used) — %s\n\n",
-              speedup, pass ? "PASS" : "FAIL");
+  std::printf("batching speedup: %.2fx (gate: >= 2x with >= 4 lanes used) — "
+              "%s\n\n",
+              speedup, batchPass ? "PASS" : "FAIL");
+
+  TextTable sweep({"workers", "median req/s", "min req/s", "max req/s",
+                   "vs 1 worker"});
+  for (int workers : kWorkerCounts) {
+    const std::vector<double>& v = sweepRps[workers];
+    const double med = percentile(v, 0.5);
+    sweep.addRow({std::to_string(workers), fmtDouble(med, 5),
+                  fmtDouble(*std::min_element(v.begin(), v.end()), 5),
+                  fmtDouble(*std::max_element(v.begin(), v.end()), 5),
+                  fmtDouble(med / base, 3)});
+  }
+  std::printf("worker sweep (B=1, %d requests per point, median of %d "
+              "alternating-order reps after one warm-up; hardware "
+              "threads %u):\n%s\n",
+              kSweepRequests, kSweepReps, cores, sweep.str().c_str());
+  std::printf("every sweep response bit-identical: %s\n",
+              sweepIdentical && sweepOk ? "yes" : "NO");
+  if (scalingChecked)
+    std::printf("worker scaling: %.2fx at 4 workers (gate: >= %.1fx) — %s\n\n",
+                scaling, kScalingGate, scalingPass ? "PASS" : "FAIL");
+  else
+    std::printf("worker scaling: %.2fx at 4 workers — gate SKIPPED "
+                "(hardware_concurrency %u < 4)\n\n",
+                scaling, cores);
 
   bench::BenchJson json("serve", machine::SchedulerKind::EventDriven,
-                        /*threadsUsed=*/1);
-  json.meta("workload", "F6 forall m=1024, 32 concurrent one-shot requests");
+                        /*threadsUsed=*/4);
+  json.meta("workload", "F6 forall m=1024, concurrent one-shot requests");
   json.meta("lane_width", std::int64_t(kLanes));
   json.meta("speedup", speedup);
+  json.meta("worker_sweep_requests", std::int64_t(kSweepRequests));
+  json.meta("worker_sweep_reps", std::int64_t(kSweepReps));
+  json.meta("worker_scaling_4v1", scaling);
+  if (scalingChecked) {
+    json.meta("scaling_assertion", "checked");
+  } else {
+    json.meta("scaling_assertion", "skipped");
+    json.meta("scaling_assertion_reason",
+              "hardware_concurrency < 4: four workers cannot run in "
+              "parallel, so the sweep measures contention, not scaling");
+  }
   json.meta("pass", pass);
   auto jsonRow = [&](const char* name, const LoadResult& r) {
     bench::JsonObj row;
     row.add("config", name)
         .add("requests", kRequests)
+        .add("workers", 1)
         .add("seconds", r.seconds)
         .add("requests_per_sec", r.requestsPerSec)
         .add("p50_latency_us", r.p50Micros)
@@ -213,6 +307,20 @@ int main(int argc, char** argv) {
   };
   jsonRow("serial", serial);
   jsonRow("batched", batched);
+  for (int workers : kWorkerCounts) {
+    const std::vector<double>& v = sweepRps[workers];
+    bench::JsonObj row;
+    row.add("config", "worker_sweep")
+        .add("requests", kSweepRequests)
+        .add("workers", workers)
+        .add("requests_per_sec_median", percentile(v, 0.5))
+        .add("requests_per_sec_min", *std::min_element(v.begin(), v.end()))
+        .add("requests_per_sec_max", *std::max_element(v.begin(), v.end()))
+        .add("vs_one_worker", percentile(v, 0.5) / base)
+        .add("all_ok", sweepOk)
+        .add("identical_to_direct_run", sweepIdentical);
+    json.addRow(row);
+  }
   json.write();
 
   if (!pass) {

@@ -15,10 +15,10 @@
 //     --dot                                   print Graphviz to stdout
 //     --run [waves]                           simulate with ramp inputs
 //     --scheduler KIND                        machine scheduler for --run:
-//                                             event | parallel | sync |
-//                                             reference | compiled (all
-//                                             bit-identical; compiled
-//                                             fast-forwards the steady state)
+//                                             event | sync | reference |
+//                                             compiled (all bit-identical;
+//                                             compiled fast-forwards the
+//                                             steady state)
 //     --explain-schedule                      dump the static-schedule IR
 //                                             (hyper-period, per-cell slots,
 //                                             or the decline reason)
@@ -26,8 +26,8 @@
 //     --profile                               run + §3 audit + metrics JSON
 //     --trace FILE                            run + Chrome trace to FILE
 //     --faults SPEC                           run under a fault plan
-//                                             (seed=,jitter=,delay=,skew=,
-//                                             reorder,outage=CLASS@FROM+LEN,
+//                                             (seed=,jitter=,delay=,
+//                                             outage=CLASS@FROM+LEN,
 //                                             drop-result=,dup-result=,
 //                                             drop-ack=,dup-ack= per-mille)
 //     --guards                                enable runtime invariant guards
@@ -74,7 +74,7 @@ namespace {
                "usage: valc [--scheme S] [--forall F] [--balance B] [--skip K]"
                " [--batch N] [--routing R] [-O | --no-fuse] [--dot]"
                " [--run [waves]]"
-               " [--scheduler event|parallel|sync|reference|compiled]"
+               " [--scheduler event|sync|reference|compiled]"
                " [--explain-schedule] [--classify] [--profile] [--trace FILE]"
                " [--faults SPEC] [--guards] [--watchdog N]"
                " [--checkpoint-every N] [--checkpoint-file F] [--restore F]"
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--scheduler") {
       const std::string s = next();
       scheduler = s == "event"       ? core::SchedulerKind::EventDriven
-                  : s == "parallel"  ? core::SchedulerKind::ParallelEventDriven
                   : s == "sync"      ? core::SchedulerKind::Synchronous
                   : s == "reference" ? core::SchedulerKind::Reference
                   : s == "compiled"  ? core::SchedulerKind::Compiled

@@ -43,16 +43,20 @@ enum class ArrayRouting { Stream, Memory };
 /// Which machine scheduler executes the lowered graph.  Every kind is
 /// bit-identical in all MachineResult fields; they differ only in how the
 /// statically known schedule of §3 is (re)discovered at runtime.
+///
+/// The values are wire format (serve/wire.cpp sends them as a raw u8), so
+/// they are pinned.  Value 1 belonged to a retired sharded scheduler and is
+/// never reused: an old client asking for it is rejected, not silently
+/// given another scheduler.
 enum class SchedulerKind {
-  EventDriven,          ///< time wheel + ready queue (the default)
-  ParallelEventDriven,  ///< sharded event-driven across worker threads
-  Synchronous,          ///< full cell rescan per instruction time
-  Reference,            ///< naive reference stepper (oracle)
+  EventDriven = 0,  ///< time wheel + ready queue (the default)
+  Synchronous = 2,  ///< full cell rescan per instruction time
+  Reference = 3,    ///< naive reference stepper (oracle)
   /// Steady-state backend over the sched::SteadySchedule IR: event-driven
   /// fill/drain with the periodic middle fast-forwarded in bulk.  Falls back
   /// to EventDriven (see CompiledFallback) when the schedule IR declines the
   /// graph — gates, merges, feedback cycles, unbalanced reconvergence.
-  Compiled,
+  Compiled = 4,
 };
 
 /// What SchedulerKind::Compiled does when sched::computeSteadySchedule

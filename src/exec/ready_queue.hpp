@@ -39,13 +39,13 @@ class ReadyQueue {
   void wake(std::uint32_t cell, std::int64_t at) {
     if (lastWake_[cell] == at) return;  // common duplicate (ack + arrival)
     lastWake_[cell] = at;
-    // Keep the cursor a true lower bound.  A sharded wheel can receive a
-    // wake between the global time and its own next local entry — i.e.
-    // behind a cursor nextTime() already scanned forward — and an empty
-    // wheel's cursor may be arbitrarily stale; in both cases scanning from
-    // the old cursor would miss (or alias) this entry's bucket.  Every
-    // bucket between `at` and a scanned-ahead cursor is empty, so snapping
-    // back is exact.
+    // Keep the cursor a true lower bound.  A wake can land behind a cursor
+    // nextTime() already scanned forward (a restore seeds wakes after
+    // advanceTo; the compiled scheduler rebuilds a cleared wheel at shifted
+    // times), and an empty wheel's cursor may be arbitrarily stale; in both
+    // cases scanning from the old cursor would miss (or alias) this entry's
+    // bucket.  Every bucket between `at` and a scanned-ahead cursor is
+    // empty, so snapping back is exact.
     if (count_ == 0 || at < next_) next_ = at;
     buckets_[static_cast<std::size_t>(at & mask_)].push_back(cell);
     ++count_;
@@ -59,10 +59,10 @@ class ReadyQueue {
     return next_;
   }
 
-  /// Fast-forwards the scan cursor to `t`.  Used by sharded wheels: a shard
-  /// with no event for a stretch of globally active times must not re-scan
-  /// that stretch (or alias entries a full ring ahead).  Precondition: no
-  /// entry is scheduled before `t`.
+  /// Fast-forwards the scan cursor to `t`.  Used when a run resumes from a
+  /// snapshot at time `t`: the fresh wheel must not scan up from 0 (or alias
+  /// entries a full ring ahead).  Precondition: no entry is scheduled before
+  /// `t`.
   void advanceTo(std::int64_t t) {
     if (t > next_) next_ = t;
   }

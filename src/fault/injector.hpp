@@ -1,15 +1,13 @@
 // Hot-path decision maker of the fault-injection harness.
 //
-// One Injector per engine lane (the whole run for the serial engines, one
-// shard for the parallel one).  It holds a pointer to the run's fault::Plan
+// One Injector per engine run.  It holds a pointer to the run's fault::Plan
 // — null when fault injection is off, making every hook a branch on a null
 // pointer, the same zero-cost idiom as obs::LaneProbe — plus a splitmix64
-// decision stream seeded from (plan.seed, lane) so every decision is
-// reproducible for a given scheduler and shard count.
+// decision stream seeded from plan.seed so every decision is reproducible
+// for a given scheduler.
 //
 // Outage decisions take no randomness (they are pure functions of the static
-// plan and the current instruction time), so they agree across lanes and
-// schedulers; the randomized decisions are lane-local by construction.
+// plan and the current instruction time), so they agree across schedulers.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +19,11 @@ namespace valpipe::fault {
 class Injector {
  public:
   Injector() = default;
-  explicit Injector(const Plan* plan, std::uint32_t lane = 0)
+  // The seeding formula is part of the reproducibility contract: existing
+  // seeded plans (and the rng word in saved snapshots) assume it.
+  explicit Injector(const Plan* plan)
       : plan_(plan), state_(0x6a09e667f3bcc909ull ^
-                            ((plan ? plan->seed : 0) + 0x9e3779b97f4a7c15ull *
-                                                           (lane + 1))) {}
+                            ((plan ? plan->seed : 0) + 0x9e3779b97f4a7c15ull)) {}
 
   bool active() const { return plan_ != nullptr; }
   const Plan* plan() const { return plan_; }
@@ -37,7 +36,6 @@ class Injector {
   std::int64_t quiesceFloor() const {
     return plan_ ? plan_->lastOutageEnd() : 0;
   }
-  bool mailboxReorder() const { return plan_ && plan_->mailboxReorder; }
 
   /// Extra result-transit latency for the current firing.
   std::int64_t execJitter() {
@@ -53,14 +51,6 @@ class Injector {
     const std::int64_t d = draw(plan_->deliveryDelayMax);
     if (d > 0) ++counters.delayedResults;
     return d;
-  }
-
-  /// Extra delay for one cross-shard message (models barrier skew).
-  std::int64_t barrierSkew() {
-    if (!plan_ || plan_->barrierSkewMax == 0) return 0;
-    const std::int64_t s = draw(plan_->barrierSkewMax);
-    if (s > 0) ++counters.skewedMessages;
-    return s;
   }
 
   /// End of the outage window covering `now` for `fc`; > now means the
@@ -102,7 +92,7 @@ class Injector {
   // --- checkpoint/restore (src/recover) ---
   // The splitmix64 decision stream is part of the reproducibility contract:
   // a restored run must make the same remaining decisions the uninterrupted
-  // run would, so snapshots carry the raw state word per lane.
+  // run would, so snapshots carry the raw state word.
   std::uint64_t rngState() const { return state_; }
   void setRngState(std::uint64_t s) { state_ = s; }
 

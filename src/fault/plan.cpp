@@ -61,19 +61,13 @@ Plan parsePlan(const std::string& spec) {
     const std::string key = entry.substr(0, eq);
     const std::string val =
         eq == std::string::npos ? std::string() : entry.substr(eq + 1);
-    if (key == "reorder") {
-      if (!val.empty()) bad(entry, "takes no value");
-      plan.mailboxReorder = true;
-    } else if (val.empty()) {
-      bad(entry, "missing value");
-    } else if (key == "seed") {
+    // An empty value fails the key's own parser, like any malformed one.
+    if (key == "seed") {
       plan.seed = static_cast<std::uint64_t>(parseInt(entry, val));
     } else if (key == "jitter") {
       plan.latencyJitterMax = static_cast<int>(parseInt(entry, val));
     } else if (key == "delay") {
       plan.deliveryDelayMax = static_cast<int>(parseInt(entry, val));
-    } else if (key == "skew") {
-      plan.barrierSkewMax = static_cast<int>(parseInt(entry, val));
     } else if (key == "outage") {
       // CLASS@FROM+LEN, e.g. fpu@100+50
       const std::size_t at = val.find('@');
@@ -94,8 +88,8 @@ Plan parsePlan(const std::string& spec) {
     } else if (key == "dup-ack") {
       plan.dupAckPermille = parsePermille(entry, val);
     } else {
-      bad(entry, "unknown key (want seed, jitter, delay, skew, reorder, "
-                 "outage, drop-result, dup-result, drop-ack, dup-ack)");
+      bad(entry, "unknown key (want seed, jitter, delay, outage, "
+                 "drop-result, dup-result, drop-ack, dup-ack)");
     }
   }
   return plan;
@@ -106,8 +100,6 @@ std::string describe(const Plan& plan) {
   os << "seed=" << plan.seed;
   if (plan.latencyJitterMax) os << ",jitter=" << plan.latencyJitterMax;
   if (plan.deliveryDelayMax) os << ",delay=" << plan.deliveryDelayMax;
-  if (plan.barrierSkewMax) os << ",skew=" << plan.barrierSkewMax;
-  if (plan.mailboxReorder) os << ",reorder";
   for (const Outage& o : plan.outages)
     os << ",outage=" << fuName(o.fu) << "@" << o.from << "+" << o.length;
   if (plan.dropResultPermille) os << ",drop-result=" << plan.dropResultPermille;
@@ -125,7 +117,6 @@ std::string Counters::str() const {
     os << n << " " << what;
   };
   item(delayedResults, "delayed results");
-  item(skewedMessages, "skewed messages");
   item(outageDenials, "outage denials");
   item(droppedResults, "dropped results");
   item(duplicatedResults, "duplicated results");

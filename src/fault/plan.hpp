@@ -4,9 +4,8 @@
 // classes with very different contracts:
 //
 //   * timing faults — extra result-transit latency per firing (jitter),
-//     extra per-packet delivery delay, cross-shard barrier skew, drain-order
-//     reversal inside a mailbox, and transient FU outage windows.  These
-//     change *when* packets move, never *which* packets move: the §2
+//     extra per-packet delivery delay, and transient FU outage windows.
+//     These change *when* packets move, never *which* packets move: the §2
 //     acknowledge discipline makes firing counts data-determined, so outputs
 //     and packet counters stay bit-identical to the fault-free run (the
 //     paper's determinacy claim; tests/test_fault_injection.cpp proves it).
@@ -47,13 +46,11 @@ struct Outage {
 };
 
 struct Plan {
-  std::uint64_t seed = 1;  ///< base of the per-lane decision streams
+  std::uint64_t seed = 1;  ///< seed of the injector's decision stream
 
   // --- timing class (outputs/counters stay bit-identical) ---
   int latencyJitterMax = 0;   ///< extra result-transit per firing, [0, max]
   int deliveryDelayMax = 0;   ///< extra delay per result packet, [0, max]
-  int barrierSkewMax = 0;     ///< extra delay per cross-shard message, [0, max]
-  bool mailboxReorder = false;  ///< drain each mailbox in reverse push order
   std::vector<Outage> outages;
 
   // --- destructive class (per-mille probabilities) ---
@@ -85,12 +82,12 @@ struct Plan {
   /// widen their quiescence window and wake horizon by this much so delayed
   /// packets are neither declared deadlock nor aliased in the time wheel.
   std::int64_t maxExtraDelay() const {
-    return static_cast<std::int64_t>(latencyJitterMax) + deliveryDelayMax +
-           barrierSkewMax;
+    return static_cast<std::int64_t>(latencyJitterMax) + deliveryDelayMax;
   }
 
   /// End of the outage window covering `now` for class `fc` (<= now when
-  /// none).  Static data, no randomness: every lane sees the same answer.
+  /// none).  Static data, no randomness: every scheduler sees the same
+  /// answer.
   std::int64_t outageUntil(dfg::FuClass fc, std::int64_t now) const {
     std::int64_t until = now;
     for (const Outage& o : outages)
@@ -113,7 +110,6 @@ struct Plan {
 /// starving cell to a dropped packet rather than an unbalanced graph).
 struct Counters {
   std::uint64_t delayedResults = 0;  ///< result packets given extra transit
-  std::uint64_t skewedMessages = 0;  ///< cross-shard messages given skew
   std::uint64_t outageDenials = 0;   ///< grant denials inside outage windows
   std::uint64_t droppedResults = 0;
   std::uint64_t duplicatedResults = 0;
@@ -122,7 +118,6 @@ struct Counters {
 
   void add(const Counters& o) {
     delayedResults += o.delayedResults;
-    skewedMessages += o.skewedMessages;
     outageDenials += o.outageDenials;
     droppedResults += o.droppedResults;
     duplicatedResults += o.duplicatedResults;
@@ -140,7 +135,7 @@ struct Counters {
 };
 
 /// Parses a valc `--faults` spec: comma-separated `key=value` entries.
-///   seed=N jitter=N delay=N skew=N reorder outage=CLASS@FROM+LEN
+///   seed=N jitter=N delay=N outage=CLASS@FROM+LEN
 ///   drop-result=PM dup-result=PM drop-ack=PM dup-ack=PM
 /// CLASS is one of pe|alu|fpu|am; PM is a per-mille rate.  Throws
 /// CompileError naming the offending entry.

@@ -19,14 +19,6 @@
 // hook is a null-pointer test when off — the same zero-cost contract as the
 // obs probes.  A violation throws guard::ViolationError naming the invariant
 // and the cells on the offending arc.
-//
-// Parallel-engine ownership: `sent`/`acked` are only touched by the
-// producer cell's shard (sends in phase B, ack receipts in the drain
-// window), `delivered`/`consumed` only by the consumer cell's shard
-// (deliveries in phase B or the drain window, consumption in phase B); the
-// one cross-shard access — onDeliver reading `sent` during a drain — is
-// ordered after the sender's phase B by the step barrier.  Same disjointness
-// argument as the slot and mirror arrays (see engine_parallel.cpp).
 #pragma once
 
 #include <cstdint>
@@ -80,7 +72,7 @@ class ViolationError : public std::runtime_error {
 
 /// Per-arc packet counters, indexed by flat operand slot.  Load-time tokens
 /// count as one packet already sent and delivered (matching the engines'
-/// slot and mirror seeding).
+/// slot seeding).
 struct State {
   explicit State(const exec::ExecutableGraph& eg)
       : sent(eg.slotCount(), 0),
@@ -91,16 +83,16 @@ struct State {
       if (eg.operandAt(s).hasInitial) sent[s] = delivered[s] = 1;
   }
 
-  std::vector<std::int64_t> sent;       ///< producer-shard-owned
-  std::vector<std::int64_t> acked;      ///< producer-shard-owned
-  std::vector<std::int64_t> delivered;  ///< consumer-shard-owned
-  std::vector<std::int64_t> consumed;   ///< consumer-shard-owned
+  std::vector<std::int64_t> sent;       ///< results the producer launched
+  std::vector<std::int64_t> acked;      ///< acknowledges it received
+  std::vector<std::int64_t> delivered;  ///< results that landed in the slot
+  std::vector<std::int64_t> consumed;   ///< results the consumer used
 };
 
 /// "cell #12 (MUL)" / "cell #3 (OUT 'x')" label for messages.
 std::string cellLabel(const exec::ExecutableGraph& eg, std::uint32_t cell);
 
-/// One lane's guard hooks over the shared per-run State.  Default-constructed
+/// An engine's guard hooks over its per-run State.  Default-constructed
 /// guards are inert; every hook then costs one null test.
 class LaneGuard {
  public:

@@ -1,23 +1,20 @@
 // Timed machine simulation over the flattened exec::ExecutableGraph.
 //
-// The single-threaded lane (state, hooks, and both serial run loops) lives
-// in detail::SingleEngine (machine/engine_single.hpp); the firing discipline
-// it instantiates is detail::EngineBase (machine/engine_impl.hpp), shared
-// with the parallel engine.  This file supplies the MachineResult rate
-// helpers and the one simulate() entry point that dispatches on
-// RunOptions::scheduler:
+// The engine itself — flat state, firing discipline, and both serial run
+// loops — is detail::SingleEngine (machine/engine_single.hpp).  This file
+// supplies the MachineResult rate helpers and the one simulate() entry point
+// that dispatches on RunOptions::scheduler:
 //
-//   Reference           → machine/engine_reference.cpp (pointer-walking
-//                         oracle over dfg::Graph);
-//   ParallelEventDriven → machine/engine_parallel.cpp (sharded lanes);
-//   Synchronous         → SingleEngine::runSynchronous (full rescan);
-//   EventDriven         → SingleEngine::runEventDriven (time wheel);
-//   Compiled            → detail::runCompiled (machine/engine_compiled.cpp):
-//                         the event loop with a steady-state detector hooked
-//                         in, fast-forwarding whole periods through the
-//                         sched::SteadySchedule IR when the graph admits a
-//                         static schedule, falling back per
-//                         RunOptions::compiledFallback when it does not.
+//   Reference    → machine/engine_reference.cpp (pointer-walking oracle over
+//                  dfg::Graph);
+//   Synchronous  → SingleEngine::runSynchronous (full rescan);
+//   EventDriven  → SingleEngine::runEventDriven (time wheel);
+//   Compiled     → detail::runCompiled (machine/engine_compiled.cpp): the
+//                  event loop with a steady-state detector hooked in,
+//                  fast-forwarding whole periods through the
+//                  sched::SteadySchedule IR when the graph admits a static
+//                  schedule, falling back per RunOptions::compiledFallback
+//                  when it does not.
 #include "machine/engine.hpp"
 
 #include <utility>
@@ -65,15 +62,13 @@ MachineResult simulate(const dfg::Graph& lowered, const ExecutableGraph& eg,
                        const RunOptions& opts) {
   if (opts.scheduler == SchedulerKind::Reference)
     return detail::simulateReference(lowered, cfg, inputs, opts);
-  if (opts.scheduler == SchedulerKind::ParallelEventDriven)
-    return detail::simulateParallel(lowered, eg, cfg, inputs, opts);
   detail::SingleEngine engine(eg, cfg, inputs, opts);
   engine.lowered = &lowered;
   if (opts.restoreFrom) detail::restoreSingle(engine, *opts.restoreFrom);
   const char* label = "EventDriven";
-  if (opts.trace) opts.trace->begin(1, detail::traceMetaFor(lowered, opts));
-  if (opts.metrics) opts.metrics->begin(1, eg.size());
-  engine.probe = obs::LaneProbe(opts.trace, opts.metrics, 0);
+  if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
+  if (opts.metrics) opts.metrics->begin(eg.size());
+  engine.probe = obs::LaneProbe(opts.trace, opts.metrics);
   switch (opts.scheduler) {
     case SchedulerKind::Synchronous:
       label = "Synchronous";

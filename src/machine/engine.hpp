@@ -9,17 +9,12 @@
 // of one firing per two instruction times under the unit profile, and k/S for
 // a feedback cycle of S stages carrying a dependence distance of k.
 //
-// The simulator runs on a flattened exec::ExecutableGraph and offers five
-// schedulers with bit-identical results:
+// The simulator runs on a flattened exec::ExecutableGraph and offers four
+// schedulers with bit-identical results, all on the calling thread (the
+// serving layer runs whole graphs on parallel workers instead):
 //   - EventDriven (default): a cell is re-examined only when a token arrives,
 //     an acknowledge frees a destination, a function unit frees, or its own
 //     firing completes — work scales with firings, not cells x cycles;
-//   - ParallelEventDriven: the event-driven schedule sharded across worker
-//     threads — cells are partitioned into shards (following the Placement
-//     when one is supplied, else a min-cut partitioner), each worker owns a
-//     time wheel / FU-pool slice / cell state, and cross-shard result and
-//     acknowledge packets travel through per-pair SPSC mailboxes drained at
-//     a deterministic per-instruction-time barrier;
 //   - Synchronous: rescans every cell each instruction time on the flat
 //     representation (diagnostic middle ground);
 //   - Reference: the original pointer-walking stepper over dfg::Graph, kept
@@ -80,9 +75,6 @@ struct RunOptions : run::RunOptions {
   /// cfg.interPeDelay and are counted as distribution-network traffic.
   std::optional<Placement> placement;
   SchedulerKind scheduler = SchedulerKind::EventDriven;
-  /// Worker-thread (= shard) count for ParallelEventDriven; 0 picks a
-  /// default from the hardware.  Results are identical for every count.
-  int threads = 0;
   /// What SchedulerKind::Compiled does on a declined graph.
   core::CompiledFallback compiledFallback = core::CompiledFallback::EventDriven;
 };

@@ -196,7 +196,7 @@ class CompiledDriver {
     }
     s.t = e_.now;
     canonWords(s.words);
-    s.firings.assign(e_.firings, e_.firings + n);
+    s.firings = e_.firings;
     s.totalFirings = e_.totalFirings;
     s.packets = e_.packets;
     s.emitted.resize(n);

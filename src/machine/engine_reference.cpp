@@ -11,7 +11,7 @@
 // included, and each hook is a null test when the run carries no plan or
 // guard config — and the composite-FIFO firing rule, which the oracle must
 // implement so fused graphs stay cross-checkable; it mirrors
-// EngineBase::fireFifo over exec::FifoState and is inert on expanded
+// SingleEngine::fireFifo over exec::FifoState and is inert on expanded
 // graphs.)
 #include <algorithm>
 #include <chrono>
@@ -21,8 +21,7 @@
 #include "exec/fifo.hpp"
 #include "guard/diagnosis.hpp"
 #include "machine/engine.hpp"
-#include "machine/engine_impl.hpp"
-#include "machine/engine_snapshot.hpp"
+#include "machine/engine_single.hpp"
 #include "recover/snapshot.hpp"
 #include "support/check.hpp"
 
@@ -63,8 +62,7 @@ struct ReferenceEngine {
   std::vector<CellState> state;
   /// Composite-FIFO ring state (Fifo nodes of depth >= 2 only); mutable
   /// because the const phase-A enabled() caches its accept/emit decision
-  /// there, exactly as the flattened engines do through their fifoDyn
-  /// pointer.
+  /// there, exactly as the flattened engine does in its fifoDyn array.
   mutable std::vector<exec::FifoState> fifo;
   std::array<std::vector<std::int64_t>, 4> fuFreeAt;  ///< per class unit pool
   MachineResult result;
@@ -90,7 +88,7 @@ struct ReferenceEngine {
   ReferenceEngine(const Graph& graph, const MachineConfig& config,
                   const run::StreamMap& in, const RunOptions& o)
       : g(graph), cfg(config), wiring(graph), inputs(in), opts(o) {
-    inj = fault::Injector(opts.faults, 0);
+    inj = fault::Injector(opts.faults);
     fifo.resize(g.size());
     for (NodeId id : g.ids()) {
       const Node& n = g.node(id);
@@ -229,7 +227,7 @@ struct ReferenceEngine {
     if (cs.busyUntil > now) return false;
 
     if (isComposite(n)) {
-      // Phase-A decision caching, exactly as EngineBase::enabled: phase B
+      // Phase-A decision caching, exactly as SingleEngine::enabled: phase B
       // must act on the decision made against start-of-cycle state, or an
       // emit that frees this cell's input could enable an accept in the
       // same instruction time (impossible for the expanded chain).
@@ -315,7 +313,7 @@ struct ReferenceEngine {
       const std::uint32_t gslot = guardSlot(d.consumer, d.port);
       grd.onSend(id.index, gslot, now);
       // A dropped result still occupies the slot (the producer must stay
-      // blocked) but never becomes ready; see EngineBase::deliver.
+      // blocked) but never becomes ready; see SingleEngine::deliver.
       if (inj.dropResult()) at = fault::kLostPacket;
       const int copies = inj.dupResult() ? 2 : 1;
       for (int k = 0; k < copies; ++k) {
@@ -332,7 +330,7 @@ struct ReferenceEngine {
 
   /// Phase B for a composite FIFO cell: emit from the ring (counted as the
   /// firing) then accept into it, per the cached phase-A decision.  Mirrors
-  /// EngineBase::fireFifo.
+  /// SingleEngine::fireFifo.
   void fireFifo(NodeId id, const Node& n) {
     exec::FifoState& f = fifo[id.index];
     VALPIPE_CHECK_MSG(f.decidedAt == now,
@@ -727,9 +725,9 @@ MachineResult detail::simulateReference(const dfg::Graph& lowered,
                                         const RunOptions& opts) {
   ReferenceEngine engine(lowered, cfg, inputs, opts);
   if (opts.restoreFrom) engine.restore(*opts.restoreFrom);
-  if (opts.trace) opts.trace->begin(1, detail::traceMetaFor(lowered, opts));
-  if (opts.metrics) opts.metrics->begin(1, lowered.size());
-  engine.probe = obs::LaneProbe(opts.trace, opts.metrics, 0);
+  if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
+  if (opts.metrics) opts.metrics->begin(lowered.size());
+  engine.probe = obs::LaneProbe(opts.trace, opts.metrics);
   engine.run();
   if (opts.metrics)
     opts.metrics->finishRun("Reference", engine.result.cycles,

@@ -1,9 +1,10 @@
-// Single-threaded engine lane over the flattened exec::ExecutableGraph.
+// The timed engine over the flattened exec::ExecutableGraph (internal
+// header).
 //
-// The firing discipline (enabling test, firing effects, acknowledge
-// bookkeeping) lives in detail::EngineBase (machine/engine_impl.hpp) and is
-// shared with the parallel engine; SingleEngine supplies the single-threaded
-// event routing (one time wheel, one FU pool) and the two serial run loops:
+// SingleEngine owns the run's flat state (operand slots, per-cell dynamic
+// scalars, composite-FIFO rings), implements the §2/§3 firing discipline
+// over it — enabling test, firing effects, acknowledge bookkeeping — and
+// drives it with the two run loops:
 //
 //   runSynchronous — rescans every cell each instruction time with rotating
 //                    priority, the original stepper's schedule on the flat
@@ -26,37 +27,82 @@
 // Reference stepper (machine/engine_reference.cpp).
 //
 // This header is internal to src/machine (it is not part of the public
-// simulate() surface); it exists so engine_compiled.cpp can drive the same
-// lane that engine.cpp's dispatch constructs.
+// simulate() surface): engine.cpp's dispatch constructs the engine,
+// engine_compiled.cpp drives it, and engine_reference.cpp shares the trace
+// labelling below.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "exec/cell_state.hpp"
 #include "exec/executable_graph.hpp"
+#include "exec/fifo.hpp"
 #include "exec/fu_pool.hpp"
+#include "exec/ops.hpp"
+#include "exec/packet_counters.hpp"
 #include "exec/ready_queue.hpp"
 #include "exec/router.hpp"
 #include "exec/stop.hpp"
+#include "fault/injector.hpp"
 #include "guard/diagnosis.hpp"
+#include "guard/guard.hpp"
 #include "machine/engine.hpp"
-#include "machine/engine_impl.hpp"
 #include "machine/engine_snapshot.hpp"
+#include "obs/probe.hpp"
 #include "recover/snapshot.hpp"
 #include "support/check.hpp"
 
 namespace valpipe::machine::detail {
 
-struct SingleEngine : EngineBase<SingleEngine> {
-  std::vector<exec::Slot> slotStore;
-  std::vector<exec::CellDyn> dynStore;
-  std::vector<exec::FifoState> fifoStore;
+struct SingleEngine {
+  const exec::ExecutableGraph& eg;
+  const MachineConfig& cfg;
+  const RunOptions& opts;
+
+  std::vector<exec::Slot> slots;       ///< per operand slot (gates included)
+  std::vector<exec::CellDyn> cellDyn;  ///< per cell emitted / busyUntil
+  /// Composite-FIFO ring state (exec::makeFifoStates), non-empty entries for
+  /// Fifo cells of depth >= 2 only.  Written through a const enabled(): the
+  /// phase-A accept/emit decision is cached here so phase B applies exactly
+  /// what phase A saw (unobservable bookkeeping, like a memo).
+  mutable std::vector<exec::FifoState> fifoDyn;
+  std::vector<std::uint64_t> firings;  ///< per cell firing counts
+
+  exec::Router router;
+  exec::PacketCounters packets;
+  std::uint64_t totalFirings = 0;
+  run::StreamMap outputs;
+  std::map<std::string, std::vector<std::int64_t>> outputTimes;
+  run::StreamMap amFinal;
+
+  /// Input / AmFetch cells: the backing stream read by sourceValue.
+  std::vector<const std::vector<Value>*> sourceData;
+  /// Output cells: expected-output counter index (-1 when unexpected).
+  std::vector<std::int32_t> stopSlotOf;
+
+  std::int64_t now = 0;
+  bool consumedAny = false;   ///< current firing consumed a non-literal port
+  bool deliveredAny = false;  ///< current firing filled a destination slot
+
+  /// Observability hooks; inert (null sinks) unless the run was given sinks
+  /// in its RunOptions.  Every call below is a null-pointer test when inert,
+  /// keeping the no-sink fast path free.
+  obs::LaneProbe probe;
+
+  /// Fault injector and invariant guards; both follow the same null-pointer
+  /// zero-cost contract as `probe`.  `grd` is bound when the run carries a
+  /// guard::Config.
+  fault::Injector inj;
+  guard::LaneGuard grd;
+
   exec::FuPool fu;
   exec::StopCondition stop;
   exec::ReadyQueue* rq = nullptr;  ///< set while running event-driven
@@ -85,21 +131,22 @@ struct SingleEngine : EngineBase<SingleEngine> {
 
   SingleEngine(const exec::ExecutableGraph& graph, const MachineConfig& config,
                const run::StreamMap& inputs, const RunOptions& o)
-      : EngineBase(graph, config, o),
-        slotStore(graph.slotCount()),
-        dynStore(graph.size()),
-        fifoStore(exec::makeFifoStates(graph)),
+      : eg(graph),
+        cfg(config),
+        opts(o),
+        slots(graph.slotCount()),
+        cellDyn(graph.size()),
+        fifoDyn(exec::makeFifoStates(graph)),
+        firings(graph.size(), 0),
+        sourceData(graph.size(), nullptr),
+        stopSlotOf(graph.size(), -1),
+        inj(o.faults),
         fu(config.fuUnits, config.execLatency),
         stop(o.expectedOutputs) {
-    slots = slotStore.data();
-    cellDyn = dynStore.data();
-    fifoDyn = fifoStore.data();
     if (opts.guards) {
       gst.emplace(eg);
       grd = guard::LaneGuard(opts.guards, &*gst, &eg);
     }
-    result.firings.assign(eg.size(), 0);
-    firings = result.firings.data();
     // Load-time tokens (counter-loop bootstraps): present at t = 0.
     for (std::uint32_t s = 0; s < eg.slotCount(); ++s) {
       const exec::Operand& o2 = eg.operandAt(s);
@@ -115,9 +162,7 @@ struct SingleEngine : EngineBase<SingleEngine> {
       const exec::Cell& cl = eg.cell(c);
       if (cl.op == dfg::Op::AmFetch) amFinal[eg.streamName(cl)];
     }
-    for (std::uint32_t c = 0; c < eg.size(); ++c)
-      bindCell(c, inputs,
-               [this](const std::string& name) { return stop.slotFor(name); });
+    for (std::uint32_t c = 0; c < eg.size(); ++c) bindCell(c, inputs);
     if (opts.placement) {
       VALPIPE_CHECK_MSG(opts.placement->peOf.size() == eg.size(),
                         "placement does not match the graph");
@@ -132,23 +177,345 @@ struct SingleEngine : EngineBase<SingleEngine> {
                std::chrono::microseconds(opts.deadlineMicros);
   }
 
-  // --- event-routing hooks: everything is lane-local ----------------------
+  /// Resolves cell `c`'s stream binding (after amFinal holds every fetched
+  /// region): input data, fetched region, or expected-output counter index.
+  void bindCell(std::uint32_t c, const run::StreamMap& inputs) {
+    const exec::Cell& cl = eg.cell(c);
+    if (cl.op == dfg::Op::Input) {
+      auto it = inputs.find(eg.streamName(cl));
+      VALPIPE_CHECK_MSG(it != inputs.end(),
+                        "missing input stream '" + eg.streamName(cl) + "'");
+      VALPIPE_CHECK_MSG(static_cast<std::int64_t>(it->second.size()) ==
+                            cl.tokensPerWave,
+                        "input '" + eg.streamName(cl) + "' has wrong length");
+      sourceData[c] = &it->second;
+    } else if (cl.op == dfg::Op::AmFetch) {
+      sourceData[c] = &amFinal.at(eg.streamName(cl));
+    } else if (cl.op == dfg::Op::Output) {
+      stopSlotOf[c] = stop.slotFor(eg.streamName(cl));
+    }
+  }
 
+  /// Schedules `cell` for examination at `at` (and mirrors the wake into
+  /// wakeLog when the compiled scheduler is watching).
   void wake(std::uint32_t cell, std::int64_t at) {
     if (rq) rq->wake(cell, at);
     if (wakeLog) wakeLog->emplace_back(cell, at);
   }
-  bool destFree(const exec::Dest& d) const { return slotFree(slots[d.slot]); }
-  void deliverOne(const exec::Dest& d, const Value& v, std::int64_t at,
-                  std::int64_t wakeAt) {
-    deliverLocal(d, v, at, wakeAt);
+
+  // --- firing discipline --------------------------------------------------
+
+  std::int64_t sourceLimit(std::uint32_t c, const exec::Cell& cl) const {
+    if (cl.op == dfg::Op::AmFetch) {
+      // Reads the region sequentially as stores fill it: the limit is
+      // whatever is available now, capped at one region read per wave.
+      return std::min<std::int64_t>(
+          cl.tokensPerWave * opts.waves,
+          static_cast<std::int64_t>(sourceData[c]->size()));
+    }
+    return cl.tokensPerWave * opts.waves;
   }
+
+  Value sourceValue(std::uint32_t c, const exec::Cell& cl,
+                    std::int64_t k) const {
+    const std::int64_t j = k % cl.tokensPerWave;
+    switch (cl.op) {
+      case dfg::Op::Input:
+        return (*sourceData[c])[static_cast<std::size_t>(j)];
+      case dfg::Op::BoolSeq: return Value(eg.patternBit(cl, j));
+      case dfg::Op::IndexSeq:
+        return Value(cl.seqLo + (j / cl.seqRepeat) % (cl.seqHi - cl.seqLo + 1));
+      case dfg::Op::AmFetch:
+        return (*sourceData[c])[static_cast<std::size_t>(k)];
+      default: VALPIPE_UNREACHABLE("not a source");
+    }
+  }
+
+  bool slotReady(const exec::Slot& s) const {
+    return s.full && s.readyAt <= now;
+  }
+  bool slotFree(const exec::Slot& s) const {
+    return !s.full && s.freedAt <= now;
+  }
+
+  bool portReady(const exec::Cell& cl, int port) const {
+    const std::uint32_t si = eg.slotOf(cl, port);
+    return eg.operandAt(si).isLiteral() || slotReady(slots[si]);
+  }
+
+  Value portValue(const exec::Cell& cl, int port) const {
+    const std::uint32_t si = eg.slotOf(cl, port);
+    const exec::Operand& o = eg.operandAt(si);
+    return o.isLiteral() ? o.literal : slots[si].v;
+  }
+
+  bool destsFree(exec::DestSpan ds) const {
+    for (const exec::Dest& d : ds)
+      if (!slotFree(slots[d.slot])) return false;
+    return true;
+  }
+
+  static bool isComposite(const exec::Cell& cl) {
+    return cl.op == dfg::Op::Fifo && cl.fifoDepth >= 2;
+  }
+
+  /// Per-stage hop times of the Id chain a composite FIFO stands for (the
+  /// chain's stages are Pe-class identity cells, like the Fifo cell itself).
+  exec::FifoTiming fifoTiming() const {
+    return exec::FifoTiming::of(
+        cfg.execLatency[static_cast<std::size_t>(dfg::fuClass(dfg::Op::Fifo))],
+        cfg.routeDelay, cfg.ackDelay);
+  }
+
+  /// Extra settle/wake span composite cells introduce (0 without them): a
+  /// composite holds tokens for up to (k-1) forward or backward hop times
+  /// with no firing anywhere, which both the quiescence window and the time
+  /// wheel must cover.
+  std::int64_t fifoSlack() const {
+    return exec::fifoSettleSlack(eg.maxFifoDepth(), fifoTiming());
+  }
+
+  /// Enabled test (phase A, reads only start-of-cycle state).
+  bool enabled(std::uint32_t c) const {
+    const exec::Cell& cl = eg.cell(c);
+    const exec::CellDyn& dyn = cellDyn[c];
+    if (dyn.busyUntil > now) return false;
+
+    if (isComposite(cl)) {
+      exec::FifoState& f = fifoDyn[c];
+      const exec::FifoTiming t = fifoTiming();
+      f.doEmit = f.canEmit(t, now) && destsFree(eg.alwaysDests(cl));
+      f.doAccept = portReady(cl, 0) && f.canAccept(t, now);
+      f.decidedAt = now;
+      return f.doEmit || f.doAccept;
+    }
+    if (dfg::isSource(cl.op)) {
+      if (dyn.emitted >= sourceLimit(c, cl)) return false;
+      return destsFree(eg.alwaysDests(cl));
+    }
+    std::optional<bool> gateVal;
+    if (cl.hasGate) {
+      if (!portReady(cl, exec::kGatePort)) return false;
+      gateVal = portValue(cl, exec::kGatePort).asBoolean();
+    }
+    if (cl.op == dfg::Op::Merge) {
+      if (!portReady(cl, 0)) return false;
+      const bool sel = portValue(cl, 0).asBoolean();
+      if (!portReady(cl, sel ? 1 : 2)) return false;
+    } else {
+      for (int p = 0; p < static_cast<int>(cl.numPorts); ++p)
+        if (!portReady(cl, p)) return false;
+    }
+    if (!dfg::producesResult(cl.op)) return true;
+    if (!destsFree(eg.alwaysDests(cl))) return false;
+    return !gateVal || destsFree(eg.taggedDests(cl, *gateVal));
+  }
+
+  /// The acknowledge for `slot` reaches `producer`: it may re-enable from
+  /// `wakeAt`, the instruction time the freed destination becomes visible.
   void ackProducer(std::uint32_t producer, std::uint32_t slot,
-                   std::int64_t /*freedAt*/, std::int64_t wakeAt) {
+                   std::int64_t wakeAt) {
     grd.onAck(producer, slot, now);
     wake(producer, wakeAt);
   }
-  void onOutput(std::int32_t stopSlot) { stop.onOutput(stopSlot); }
+
+  void consume(std::uint32_t c, const exec::Cell& cl, int port) {
+    const std::uint32_t si = eg.slotOf(cl, port);
+    const exec::Operand& o = eg.operandAt(si);
+    if (o.isLiteral()) return;
+    exec::Slot& s = slots[si];
+    grd.onConsume(c, si, s.full, now);
+    s.full = false;
+    ++packets.ackPackets;
+    consumedAny = true;
+    if (inj.dropAck()) {
+      // The acknowledge is lost in the network: the producer never sees the
+      // destination freed, so it blocks forever (the watchdog names it).
+      s.freedAt = fault::kLostPacket;
+      return;
+    }
+    s.freedAt = now + cfg.ackDelay;
+    probe.ack(o.producer, c, now, s.freedAt);
+    const std::int64_t wakeAt = std::max<std::int64_t>(s.freedAt, now + 1);
+    ackProducer(o.producer, si, wakeAt);
+    if (inj.dupAck()) ackProducer(o.producer, si, wakeAt);
+  }
+
+  /// One result packet lands in destination `d` at `at`; its consumer is
+  /// re-examined at `wakeAt`.
+  void deliverOne(const exec::Dest& d, const Value& v, std::int64_t at,
+                  std::int64_t wakeAt) {
+    exec::Slot& s = slots[d.slot];
+    grd.onDeliver(d.consumer, d.slot, s.full, at);
+    VALPIPE_CHECK_MSG(!s.full, "result packet delivered into occupied slot");
+    s.full = true;
+    s.v = v;
+    s.readyAt = at;
+    wake(d.consumer, wakeAt);
+  }
+
+  void deliver(exec::DestSpan ds, const Value& v, std::uint32_t from,
+               std::int64_t arrive) {
+    if (!ds.empty()) deliveredAny = true;
+    for (const exec::Dest& d : ds) {
+      // Packets between cells in different PEs traverse the distribution
+      // network (Fig. 1) and pay the extra hop.
+      std::int64_t at = arrive + router.extraDelay(from, d.consumer, packets) +
+                        inj.deliveryDelay();
+      ++packets.resultPackets;
+      grd.onSend(from, d.slot, now);
+      // A dropped result still occupies the destination slot — the producer
+      // must stay blocked (one active instance) — but it never becomes
+      // ready, so the consumer starves and the watchdog can name it.
+      const bool lost = inj.dropResult();
+      if (lost) at = fault::kLostPacket;
+      const std::int64_t wakeAt =
+          lost ? now + 1 : std::max<std::int64_t>(at, now + 1);
+      probe.result(from, d.consumer, now, at);
+      deliverOne(d, v, at, wakeAt);
+      if (inj.dupResult()) deliverOne(d, v, at, wakeAt);
+    }
+  }
+
+  /// Phase B of a composite FIFO cell: applies the accept and/or emit the
+  /// phase-A decision chose.  The emit is the composite's observable firing
+  /// (the chain's tail stage is the one cell that delivers externally), so
+  /// firing/packet counters and probes tick on emits only; an accept-only
+  /// activation still occupies the cell (and one FU grant) for this
+  /// instruction time, like the chain's head stage would.
+  void fireFifo(std::uint32_t c, const exec::Cell& cl) {
+    exec::FifoState& f = fifoDyn[c];
+    VALPIPE_CHECK_MSG(f.decidedAt == now,
+                      "composite FIFO fired without a phase-A decision");
+    exec::CellDyn& dyn = cellDyn[c];
+    dyn.busyUntil = now + 1;
+    consumedAny = deliveredAny = false;
+    const exec::FifoTiming t = fifoTiming();
+    const std::int64_t ringLen = f.ring();
+    if (f.doEmit) {
+      ++firings[c];
+      ++totalFirings;
+      ++packets.opPacketsByClass[static_cast<std::size_t>(cl.fu)];
+      probe.fire(c, now, cfg.execLatency[static_cast<std::size_t>(cl.fu)]);
+      const Value v = f.pop(now);
+      router.noteFiring(c);
+      const std::int64_t arrive =
+          now + cfg.execLatency[static_cast<std::size_t>(cl.fu)] +
+          cfg.routeDelay + inj.execJitter();
+      deliver(eg.alwaysDests(cl), v, c, arrive);
+      // This emit's acknowledge wave re-admits a blocked accept after (k-1)
+      // backward hops; the tail itself may re-emit one period later.
+      wake(c, now + ringLen * t.ackDelay);
+      wake(c, now + t.period());
+    }
+    if (f.doAccept) {
+      const Value v = portValue(cl, 0);
+      f.push(v, t, now);
+      consume(c, cl, 0);
+      // The head stage may accept again one period later.
+      wake(c, now + t.period());
+    }
+    grd.onFifoFire(c, eg.slotOf(cl, 0), f.accepted, f.emitted, f.depth, now);
+    // The next head token becomes emittable with no external event.
+    if (f.count > 0)
+      wake(c, std::max(f.readyAt[f.head], f.lastEmit + t.period()));
+    if (!consumedAny && !deliveredAny) wake(c, now + 1);
+  }
+
+  /// Phase B: applies the firing of `c` at time `now`.
+  void fire(std::uint32_t c) {
+    const exec::Cell& cl = eg.cell(c);
+    if (isComposite(cl)) return fireFifo(c, cl);
+    exec::CellDyn& dyn = cellDyn[c];
+    ++firings[c];
+    ++totalFirings;
+    ++packets.opPacketsByClass[static_cast<std::size_t>(cl.fu)];
+    dyn.busyUntil = now + 1;
+    consumedAny = deliveredAny = false;
+    probe.fire(c, now, cfg.execLatency[static_cast<std::size_t>(cl.fu)]);
+
+    std::optional<Value> out;
+    std::optional<bool> gateVal;
+
+    if (dfg::isSource(cl.op)) {
+      out = sourceValue(c, cl, dyn.emitted);
+      ++dyn.emitted;
+    } else {
+      if (cl.hasGate) {
+        gateVal = portValue(cl, exec::kGatePort).asBoolean();
+        consume(c, cl, exec::kGatePort);
+      }
+      auto in = [&](int p) { return portValue(cl, p); };
+      switch (cl.op) {
+        case dfg::Op::Merge: {
+          const bool sel = in(0).asBoolean();
+          out = in(sel ? 1 : 2);
+          consume(c, cl, 0);
+          consume(c, cl, sel ? 1 : 2);
+          break;
+        }
+        case dfg::Op::Output: {
+          outputs[eg.streamName(cl)].push_back(in(0));
+          outputTimes[eg.streamName(cl)].push_back(now);
+          stop.onOutput(stopSlotOf[c]);
+          break;
+        }
+        case dfg::Op::Sink: break;
+        case dfg::Op::AmStore: {
+          amFinal[eg.streamName(cl)].push_back(in(0));
+          // The store extends the region: matching fetchers may re-enable.
+          for (std::uint32_t f : eg.fetchersOf(cl)) wake(f, now + 1);
+          break;
+        }
+        default: out = exec::applyPure(cl.op, in); break;
+      }
+      if (cl.op != dfg::Op::Merge)
+        for (int p = 0; p < static_cast<int>(cl.numPorts); ++p)
+          consume(c, cl, p);
+    }
+
+    if (out.has_value()) {
+      router.noteFiring(c);
+      const std::int64_t arrive =
+          now + cfg.execLatency[static_cast<std::size_t>(cl.fu)] +
+          cfg.routeDelay + inj.execJitter();
+      deliver(eg.alwaysDests(cl), *out, c, arrive);
+      if (gateVal) deliver(eg.taggedDests(cl, *gateVal), *out, c, arrive);
+    }
+    // A firing that consumed a port or filled a destination will be re-woken
+    // by the matching refill / acknowledge; only a firing with neither (a
+    // source with no destinations, an all-literal consumer, ...) can be
+    // enabled again at now + 1 with no further event.
+    if (!consumedAny && !deliveredAny) wake(c, now + 1);
+  }
+
+  std::int64_t settleWindow() const {
+    // Injected delays stretch how long a packet can be legitimately in
+    // flight, and a composite FIFO holds tokens silently for up to its
+    // traversal slack; the idle window must outlast both or an in-flight
+    // token would be declared deadlock.
+    return exec::quiesceWindow(
+               cfg.routeDelay, cfg.ackDelay,
+               *std::max_element(cfg.execLatency.begin(),
+                                 cfg.execLatency.end())) +
+           inj.maxExtraDelay() + fifoSlack();
+  }
+
+  /// Longest forward distance of any wake: a delivered packet's transit
+  /// (execution + routing + the inter-PE hop), an acknowledge, a
+  /// function-unit release, or a composite FIFO's internal traversal — the
+  /// time wheel must span it without aliasing.  Injected delays widen it
+  /// like settleWindow().
+  std::int64_t wakeHorizon() const {
+    return std::max<std::int64_t>(
+               std::max<std::int64_t>(1, cfg.ackDelay),
+               *std::max_element(cfg.execLatency.begin(),
+                                 cfg.execLatency.end()) +
+                   cfg.routeDelay + cfg.interPeDelay) +
+           inj.maxExtraDelay() + fifoSlack();
+  }
+
+  // --- run control ----------------------------------------------------------
 
   /// The run-length cap: maxInstructionTimes tightens maxCycles when set.
   std::int64_t capCycles() const {
@@ -188,8 +555,9 @@ struct SingleEngine : EngineBase<SingleEngine> {
     for (std::size_t i = 0; i < stop.size(); ++i)
       progress.push_back({stop.name(i), stop.want(i), stop.have(i)});
     throw run::StallError(
-        now, guard::diagnoseStall(why, lowered, eg, slots, cellDyn, now,
-                                  progress, inj.counters));
+        now, guard::diagnoseStall(why, lowered, eg, slots.data(),
+                                  cellDyn.data(), now, progress,
+                                  inj.counters));
   }
 
   void finish() {
@@ -201,6 +569,7 @@ struct SingleEngine : EngineBase<SingleEngine> {
     result.cycles = now;
     result.fuBusy = fu.busy();
     if (router.active()) result.pePackets = router.pePackets();
+    result.firings = std::move(firings);
     result.outputs = std::move(outputs);
     result.outputTimes = std::move(outputTimes);
     result.amFinal = std::move(amFinal);
@@ -297,7 +666,8 @@ struct SingleEngine : EngineBase<SingleEngine> {
       // the wake set from it instead of capturing wheels in snapshots — see
       // engine_snapshot.hpp for why that reconstruction is exact.
       queue.advanceTo(now);
-      seedRestoreWakes(eg, slots, cellDyn, fifoDyn, fifoTiming(), now, hzn,
+      seedRestoreWakes(eg, slots.data(), cellDyn.data(), fifoDyn.data(),
+                       fifoTiming(), now, hzn,
                        [this](std::uint32_t c, std::int64_t at) {
                          wake(c, at);
                        });
@@ -412,6 +782,25 @@ struct SingleEngine : EngineBase<SingleEngine> {
     runEventLoop([](const std::vector<std::uint32_t>&) {});
   }
 };
+
+/// Trace naming/grouping for a run of `lowered`: graph names and FU classes,
+/// plus the Placement's PE assignment when the run has one.  Shared with the
+/// Reference engine so every scheduler labels cells identically.
+inline obs::TraceMeta traceMetaFor(const dfg::Graph& lowered,
+                                   const RunOptions& opts) {
+  obs::TraceMeta m = obs::TraceMeta::of(lowered);
+  if (opts.placement)
+    m.peOf.assign(opts.placement->peOf.begin(), opts.placement->peOf.end());
+  return m;
+}
+
+/// The original pointer-walking stepper over dfg::Graph, kept verbatim as
+/// the verification oracle (machine/engine_reference.cpp); reached through
+/// simulate() with SchedulerKind::Reference.
+MachineResult simulateReference(const dfg::Graph& lowered,
+                                const MachineConfig& cfg,
+                                const run::StreamMap& inputs,
+                                const RunOptions& opts);
 
 /// SchedulerKind::Compiled driver (machine/engine_compiled.cpp): computes
 /// the sched::SteadySchedule IR, runs the event loop with a steady-state

@@ -1,8 +1,8 @@
-// Checkpoint capture / restore of the single-threaded engine lane.
+// Checkpoint capture / restore of the flat engine (detail::SingleEngine).
 //
 // Capture runs at a step boundary (after phase B of step `now`) and flattens
-// the lane into the scheduler-portable recover::Snapshot; restore is its
-// exact inverse over a freshly constructed lane.  The wake-set reseeding
+// the engine into the scheduler-portable recover::Snapshot; restore is its
+// exact inverse over a freshly constructed engine.  The wake-set reseeding
 // that completes a restore lives in engine_snapshot.hpp (seedRestoreWakes)
 // because the run loops own the wheel.
 #include "machine/engine_snapshot.hpp"

@@ -4,12 +4,11 @@
 // header holds the machinery every timed engine shares when moving between
 // that format and its live state:
 //
-//   captureSingle / restoreSingle   — the single-threaded lane (EventDriven,
+//   captureSingle / restoreSingle   — the flat engine (EventDriven,
 //                                     Synchronous, and Compiled, which runs
-//                                     the same lane);
+//                                     the same engine);
 //   toFifoImage / fifoStateOf       — composite-FIFO ring conversion, also
-//                                     used by the Reference and Parallel
-//                                     engines;
+//                                     used by the Reference engine;
 //   scanClean                       — the kLostPacket poison scan deciding
 //                                     Snapshot::clean;
 //   seedRestoreWakes                — reconstruction of the event-driven
@@ -47,11 +46,11 @@ namespace valpipe::machine::detail {
 
 struct SingleEngine;
 
-/// Captures the complete state of a single-threaded lane after phase B of
+/// Captures the complete state of the flat engine after phase B of
 /// step `e.now` (EventDriven / Synchronous / Compiled capture points).
 recover::Snapshot captureSingle(const SingleEngine& e, const char* origin);
 
-/// Seeds a freshly constructed lane from `s` (validated against the graph).
+/// Seeds a freshly constructed engine from `s` (validated against the graph).
 /// The caller's run loop must then seed the wake set (seedRestoreWakes) and
 /// resume from s.now + 1.
 void restoreSingle(SingleEngine& e, const recover::Snapshot& s);

@@ -10,72 +10,9 @@ const char* toString(PlacementStrategy s) {
   switch (s) {
     case PlacementStrategy::RoundRobin: return "round-robin";
     case PlacementStrategy::Contiguous: return "contiguous";
-    case PlacementStrategy::MinCut: return "min-cut";
   }
   return "?";
 }
-
-namespace {
-
-/// Greedy refinement of a seed assignment: up to four passes, each moving a
-/// cell to the PE that holds strictly more of its neighbors than its current
-/// one, as long as both PE sizes stay within [3/4, 5/4] of the average.
-/// Deterministic (fixed scan order) and monotone in the cut size.
-void refineMinCut(const dfg::Graph& g, Placement& p) {
-  const std::size_t n = g.size();
-  const int pes = p.peCount;
-  if (n == 0 || pes <= 1) return;
-
-  // Undirected arc adjacency (operand + gate arcs).
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (dfg::NodeId id : g.ids()) {
-    const dfg::Node& nd = g.node(id);
-    auto arc = [&](const dfg::PortSrc& src) {
-      if (!src.isArc() || src.producer.index == id.index) return;
-      adj[id.index].push_back(static_cast<std::uint32_t>(src.producer.index));
-      adj[src.producer.index].push_back(static_cast<std::uint32_t>(id.index));
-    };
-    for (const dfg::PortSrc& in : nd.inputs) arc(in);
-    if (nd.gate) arc(*nd.gate);
-  }
-
-  std::vector<std::size_t> size(static_cast<std::size_t>(pes), 0);
-  for (std::size_t i = 0; i < n; ++i) ++size[static_cast<std::size_t>(p.peOf[i])];
-  const std::size_t avg = n / static_cast<std::size_t>(pes);
-  const std::size_t lo = std::max<std::size_t>(1, avg - avg / 4);
-  const std::size_t hi = avg + std::max<std::size_t>(1, avg / 4);
-
-  std::vector<int> pull(static_cast<std::size_t>(pes), 0);
-  for (int pass = 0; pass < 4; ++pass) {
-    bool moved = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (adj[i].empty()) continue;
-      std::fill(pull.begin(), pull.end(), 0);
-      for (std::uint32_t nb : adj[i]) ++pull[static_cast<std::size_t>(p.peOf[nb])];
-      const int cur = p.peOf[i];
-      int best = cur;
-      for (int pe = 0; pe < pes; ++pe) {
-        if (pe == cur) continue;
-        if (pull[static_cast<std::size_t>(pe)] <=
-            pull[static_cast<std::size_t>(best)])
-          continue;
-        if (size[static_cast<std::size_t>(pe)] >= hi ||
-            size[static_cast<std::size_t>(cur)] <= lo)
-          continue;
-        best = pe;
-      }
-      if (best != cur) {
-        --size[static_cast<std::size_t>(cur)];
-        ++size[static_cast<std::size_t>(best)];
-        p.peOf[i] = best;
-        moved = true;
-      }
-    }
-    if (!moved) break;
-  }
-}
-
-}  // namespace
 
 Placement assignCells(const dfg::Graph& g, int peCount, PlacementStrategy s) {
   VALPIPE_CHECK(peCount >= 1);
@@ -88,15 +25,13 @@ Placement assignCells(const dfg::Graph& g, int peCount, PlacementStrategy s) {
       for (std::size_t i = 0; i < n; ++i)
         p.peOf[i] = static_cast<int>(i % static_cast<std::size_t>(peCount));
       break;
-    case PlacementStrategy::Contiguous:
-    case PlacementStrategy::MinCut: {
+    case PlacementStrategy::Contiguous: {
       const std::size_t chunk = (n + peCount - 1) / peCount;
       for (std::size_t i = 0; i < n; ++i)
         p.peOf[i] = static_cast<int>(i / std::max<std::size_t>(chunk, 1));
       break;
     }
   }
-  if (s == PlacementStrategy::MinCut) refineMinCut(g, p);
   return p;
 }
 

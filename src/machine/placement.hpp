@@ -28,11 +28,6 @@ enum class PlacementStrategy {
   /// Consecutive cells grouped: the compiler emits producers next to their
   /// consumers, so contiguous chunks keep most arcs inside one PE.
   Contiguous,
-  /// Contiguous seed refined by a few greedy passes that move each cell to
-  /// the PE holding most of its neighbors, within a load-balance band — a
-  /// cheap min-cut heuristic.  Used to auto-partition the parallel engine's
-  /// shards when no Placement is supplied.
-  MinCut,
 };
 
 const char* toString(PlacementStrategy s);

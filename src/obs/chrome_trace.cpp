@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <ostream>
 #include <set>
-#include <utility>
 
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -13,7 +12,6 @@ namespace valpipe::obs {
 namespace {
 
 constexpr const char* kFuNames[4] = {"PE", "ALU", "FPU", "AM"};
-constexpr std::uint32_t kBarrierTid = 99;  ///< synthetic row for barrier marks
 
 void jsonString(std::ostream& os, const std::string& s) {
   os << '"';
@@ -33,77 +31,44 @@ void jsonString(std::ostream& os, const std::string& s) {
 void writeChromeTrace(std::ostream& os, const TraceSink& trace) {
   VALPIPE_CHECK_MSG(trace.sealed(), "writeChromeTrace needs a sealed trace");
   const TraceMeta& meta = trace.meta();
-  auto laneOf = [&](std::uint32_t cell) -> std::uint32_t {
-    return cell < meta.laneOf.size() ? meta.laneOf[cell] : 0;
-  };
   auto fuOf = [&](std::uint32_t cell) -> std::uint32_t {
     return cell < meta.fuOf.size() ? meta.fuOf[cell] : 0;
   };
 
   os << "{\"traceEvents\":[\n";
-  // Name the process/thread rows first: one process per lane (shard), one
-  // thread per FU class within it, plus a barrier row when captured.
-  std::set<std::uint32_t> pids;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> tids;
-  for (const Event& e : trace.events()) {
-    if (e.kind == EventKind::BarrierWait) {
-      pids.insert(e.cell);
-      tids.insert({e.cell, kBarrierTid});
-    } else if (e.kind == EventKind::Fire || e.kind == EventKind::FuDenied) {
-      pids.insert(laneOf(e.cell));
-      tids.insert({laneOf(e.cell), fuOf(e.cell)});
-    }
-  }
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  for (std::uint32_t pid : pids) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"shard " << pid << "\"}}";
-  }
-  for (const auto& [pid, tid] : tids) {
-    sep();
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\"";
-    if (tid == kBarrierTid)
-      os << "barrier";
-    else
-      os << kFuNames[tid & 3];
-    os << "\"}}";
-  }
+  // Name the rows first: one process for the machine, one thread per FU
+  // class that appears in the trace.
+  std::set<std::uint32_t> tids;
+  for (const Event& e : trace.events())
+    if (e.kind == EventKind::Fire || e.kind == EventKind::FuDenied)
+      tids.insert(fuOf(e.cell));
+  os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
+        "\"args\":{\"name\":\"machine\"}}";
+  for (std::uint32_t tid : tids)
+    os << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":" << tid
+       << ",\"args\":{\"name\":\"" << kFuNames[tid & 3] << "\"}}";
 
-  // Firings become duration slices over the FU busy time; denials and
-  // barrier waits become instant marks.  Result/Ack routings stay in the
-  // canonical trace only — as flow arrows they drown the view.
+  // Firings become duration slices over the FU busy time; denials become
+  // instant marks.  Result/Ack routings stay in the canonical trace only —
+  // as flow arrows they drown the view.
   for (const Event& e : trace.events()) {
     switch (e.kind) {
       case EventKind::Fire: {
-        sep();
-        os << "{\"ph\":\"X\",\"name\":";
+        os << ",\n{\"ph\":\"X\",\"name\":";
         jsonString(os, e.cell < meta.cellName.size() ? meta.cellName[e.cell]
                                                      : std::to_string(e.cell));
-        os << ",\"pid\":" << laneOf(e.cell) << ",\"tid\":" << fuOf(e.cell)
-           << ",\"ts\":" << e.time << ",\"dur\":" << (e.aux > 0 ? e.aux : 1)
+        os << ",\"pid\":0,\"tid\":" << fuOf(e.cell) << ",\"ts\":" << e.time
+           << ",\"dur\":" << (e.aux > 0 ? e.aux : 1)
            << ",\"args\":{\"cell\":" << e.cell;
         if (e.cell < meta.peOf.size()) os << ",\"pe\":" << meta.peOf[e.cell];
         os << "}}";
         break;
       }
       case EventKind::FuDenied:
-        sep();
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"FU denied\",\"pid\":"
-           << laneOf(e.cell) << ",\"tid\":" << fuOf(e.cell)
-           << ",\"ts\":" << e.time << ",\"args\":{\"cell\":" << e.cell
-           << ",\"free_at\":" << e.aux << "}}";
-        break;
-      case EventKind::BarrierWait:
-        sep();
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"barrier wait\",\"pid\":"
-           << e.cell << ",\"tid\":" << kBarrierTid << ",\"ts\":" << e.time
-           << ",\"args\":{\"nanos\":" << e.aux << "}}";
+        os << ",\n{\"ph\":\"i\",\"s\":\"t\",\"name\":\"FU denied\",\"pid\":0,"
+              "\"tid\":"
+           << fuOf(e.cell) << ",\"ts\":" << e.time << ",\"args\":{\"cell\":"
+           << e.cell << ",\"free_at\":" << e.aux << "}}";
         break;
       case EventKind::Result:
       case EventKind::Ack:

@@ -1,10 +1,10 @@
 // Chrome about:tracing export of a sealed trace.
 //
 // Open chrome://tracing (or https://ui.perfetto.dev) and load the JSON.  One
-// process row per engine lane (shard), one thread row per function-unit
-// class inside it; cell firings render as duration slices spanning the FU
-// busy time, FU denials and (when captured) barrier waits as instant marks.
-// Timestamps are simulated instruction times presented as microseconds.
+// process row for the machine, one thread row per function-unit class inside
+// it; cell firings render as duration slices spanning the FU busy time, FU
+// denials as instant marks.  Timestamps are simulated instruction times
+// presented as microseconds.
 #pragma once
 
 #include <iosfwd>

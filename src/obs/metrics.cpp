@@ -6,9 +6,8 @@
 
 namespace valpipe::obs {
 
-void MetricsSink::begin(std::uint32_t lanes, std::size_t cells) {
+void MetricsSink::begin(std::size_t cells) {
   cells_.assign(cells, CellStats{});
-  lanes_.assign(lanes, LaneStats{});
   scheduler_.clear();
   cycles_ = 0;
   fuBusy_.fill(0);
@@ -72,16 +71,7 @@ void MetricsSink::writeJson(std::ostream& os, const TraceMeta* meta) const {
     if (f) os << ", ";
     os << '"' << kFuNames[f] << "\": " << fuBusyPerCycle(f);
   }
-  os << "},\n  \"lanes\": [\n";
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const LaneStats& l = lanes_[i];
-    os << "    {\"lane\": " << i << ", \"barrier_syncs\": " << l.barrierSyncs
-       << ", \"barrier_wait_nanos\": " << l.barrierWaitNanos
-       << ", \"mailbox_messages\": " << l.mailboxMessages
-       << ", \"max_mailbox_depth\": " << l.maxMailboxDepth << "}"
-       << (i + 1 < lanes_.size() ? ",\n" : "\n");
-  }
-  os << "  ],\n  \"cells\": [\n";
+  os << "},\n  \"cells\": [\n";
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     const CellStats& cs = cells_[c];
     os << "    {\"cell\": " << c;

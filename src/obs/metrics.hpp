@@ -3,15 +3,11 @@
 // Where the trace (obs/trace.hpp) records the schedule event by event, the
 // MetricsSink aggregates it online with O(1) work per firing and O(cells)
 // memory: per-cell firing counts and inter-firing-gap histograms (the raw
-// material of the §3 max-pipelining audit in obs/rate_report.hpp), per-lane
-// scheduler diagnostics (barrier waits, mailbox traffic of the sharded
-// engine), and end-of-run function-unit occupancy.  Serialized to JSON via
-// writeJson.
+// material of the §3 max-pipelining audit in obs/rate_report.hpp) and
+// end-of-run function-unit occupancy.  Serialized to JSON via writeJson.
 //
-// Thread safety: per-cell slots are written only by the shard that owns the
-// cell, and per-lane stats only by their lane — the parallel engine's
-// barriers provide the ordering, so plain (non-atomic) counters suffice,
-// exactly like the engine's own firing arrays.
+// A sink is written by the one thread running the engine; plain counters
+// suffice, exactly like the engine's own firing arrays.
 #pragma once
 
 #include <array>
@@ -39,18 +35,10 @@ struct CellStats {
   std::array<std::uint64_t, kGapBuckets> gapCount{};
 };
 
-/// Per-lane scheduler diagnostics (lane = shard for the parallel engine).
-struct LaneStats {
-  std::uint64_t barrierSyncs = 0;      ///< barrier arrivals (parallel only)
-  std::uint64_t barrierWaitNanos = 0;  ///< wall-clock spent waiting in them
-  std::uint64_t mailboxMessages = 0;   ///< cross-shard packets drained
-  std::uint64_t maxMailboxDepth = 0;   ///< deepest single drain of one box
-};
-
 class MetricsSink {
  public:
   /// Resets and sizes the sink; called by the engine before the run.
-  void begin(std::uint32_t lanes, std::size_t cells);
+  void begin(std::size_t cells);
 
   // --- hot path (via obs::LaneProbe) ------------------------------------
   void onFire(std::uint32_t cell, std::int64_t t) {
@@ -66,8 +54,6 @@ class MetricsSink {
     ++cs.firings;
   }
 
-  LaneStats& lane(std::uint32_t i) { return lanes_[i]; }
-
   // --- end of run -------------------------------------------------------
   /// Stamped by the engine when the run finishes.
   void finishRun(const char* scheduler, std::int64_t cycles,
@@ -76,7 +62,6 @@ class MetricsSink {
   // --- queries ----------------------------------------------------------
   std::size_t cellCount() const { return cells_.size(); }
   const CellStats& cell(std::uint32_t c) const { return cells_[c]; }
-  const std::vector<LaneStats>& laneStats() const { return lanes_; }
   const std::string& scheduler() const { return scheduler_; }
   std::int64_t cycles() const { return cycles_; }
   const std::array<std::uint64_t, 4>& fuBusy() const { return fuBusy_; }
@@ -97,7 +82,6 @@ class MetricsSink {
 
  private:
   std::vector<CellStats> cells_;
-  std::vector<LaneStats> lanes_;
   std::string scheduler_;
   std::int64_t cycles_ = 0;
   std::array<std::uint64_t, 4> fuBusy_{};

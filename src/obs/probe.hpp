@@ -1,10 +1,10 @@
-// Per-lane recording handle threaded through the engines' firing core.
+// Recording handle threaded through the engines' firing core.
 //
 // The probe is the only observability type the hot loops see.  It bundles
-// the lane's TraceBuffer (nullptr when tracing is off) and the MetricsSink
-// (nullptr when metrics are off); every hook degenerates to one or two
-// null-pointer tests when no sink is attached, which is what keeps the
-// no-sink fast path free.  A default-constructed probe is inert.
+// the run's TraceSink (nullptr when tracing is off) and MetricsSink (nullptr
+// when metrics are off); every hook degenerates to one or two null-pointer
+// tests when no sink is attached, which is what keeps the no-sink fast path
+// free.  A default-constructed probe is inert.
 #pragma once
 
 #include <cstdint>
@@ -17,58 +17,37 @@ namespace valpipe::obs {
 class LaneProbe {
  public:
   LaneProbe() = default;
-  LaneProbe(TraceSink* trace, MetricsSink* metrics, std::uint8_t lane)
-      : buf_(trace ? &trace->lane(lane) : nullptr),
-        metrics_(metrics),
-        lane_(lane),
-        barriers_(trace != nullptr && trace->captureBarriers) {}
+  LaneProbe(TraceSink* trace, MetricsSink* metrics)
+      : trace_(trace), metrics_(metrics) {}
 
-  bool active() const { return buf_ != nullptr || metrics_ != nullptr; }
-
-  /// True when the engine should bother timing its barrier waits.
-  bool wantsBarrier() const { return metrics_ != nullptr || barriers_; }
-
-  MetricsSink* metrics() const { return metrics_; }
+  bool active() const { return trace_ != nullptr || metrics_ != nullptr; }
 
   /// Cell fired at t; its function unit stays busy for `execTime`.
   void fire(std::uint32_t cell, std::int64_t t, std::int64_t execTime) {
     if (metrics_) metrics_->onFire(cell, t);
-    if (buf_) buf_->push({t, execTime, cell, 0, EventKind::Fire, lane_});
+    if (trace_) trace_->push({t, execTime, cell, 0, EventKind::Fire});
   }
 
   /// Result packet sent by `from` at t, arriving at `to` at `arrive`.
   void result(std::uint32_t from, std::uint32_t to, std::int64_t t,
               std::int64_t arrive) {
-    if (buf_) buf_->push({t, arrive, from, to, EventKind::Result, lane_});
+    if (trace_) trace_->push({t, arrive, from, to, EventKind::Result});
   }
 
   /// Acknowledge issued at t: `consumer` frees `producer` at `freedAt`.
   void ack(std::uint32_t producer, std::uint32_t consumer, std::int64_t t,
            std::int64_t freedAt) {
-    if (buf_) buf_->push({t, freedAt, producer, consumer, EventKind::Ack, lane_});
+    if (trace_) trace_->push({t, freedAt, producer, consumer, EventKind::Ack});
   }
 
   /// Enabled cell examined at t found no free unit until `freeAt`.
   void denied(std::uint32_t cell, std::int64_t t, std::int64_t freeAt) {
-    if (buf_) buf_->push({t, freeAt, cell, 0, EventKind::FuDenied, lane_});
-  }
-
-  /// Shard barrier at instruction time t cost `nanos` of wall-clock wait.
-  void barrier(std::uint32_t shard, std::int64_t t, std::int64_t nanos) {
-    if (metrics_) {
-      LaneStats& l = metrics_->lane(lane_);
-      ++l.barrierSyncs;
-      l.barrierWaitNanos += static_cast<std::uint64_t>(nanos);
-    }
-    if (buf_ && barriers_)
-      buf_->push({t, nanos, shard, 0, EventKind::BarrierWait, lane_});
+    if (trace_) trace_->push({t, freeAt, cell, 0, EventKind::FuDenied});
   }
 
  private:
-  TraceBuffer* buf_ = nullptr;
+  TraceSink* trace_ = nullptr;
   MetricsSink* metrics_ = nullptr;
-  std::uint8_t lane_ = 0;
-  bool barriers_ = false;
 };
 
 }  // namespace valpipe::obs

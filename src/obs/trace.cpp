@@ -25,12 +25,10 @@ TraceMeta TraceMeta::of(const dfg::Graph& lowered) {
     m.fuOf.push_back(static_cast<std::uint8_t>(
         dfg::fuClass(lowered.node(dfg::NodeId{c}).op)));
   }
-  m.laneOf.assign(n, 0);
   return m;
 }
 
-void TraceSink::begin(std::uint32_t lanes, TraceMeta meta) {
-  lanes_.assign(lanes, TraceBuffer{});
+void TraceSink::begin(TraceMeta meta) {
   events_.clear();
   meta_ = std::move(meta);
   sealed_ = false;
@@ -38,16 +36,7 @@ void TraceSink::begin(std::uint32_t lanes, TraceMeta meta) {
 
 void TraceSink::seal() {
   VALPIPE_CHECK_MSG(!sealed_, "TraceSink sealed twice without begin()");
-  std::size_t total = 0;
-  for (const TraceBuffer& b : lanes_) total += b.events().size();
-  events_.clear();
-  events_.reserve(total);
-  for (TraceBuffer& b : lanes_) {
-    events_.insert(events_.end(), b.events().begin(), b.events().end());
-    b.clear();
-  }
-  // Stable: within one key, per-lane push order is schedule-determined and
-  // key ties can only come from the one lane that owns the involved cell.
+  // Stable: key ties keep the schedule's own push order.
   std::stable_sort(events_.begin(), events_.end(), eventKeyLess);
   sealed_ = true;
 }
@@ -55,19 +44,8 @@ void TraceSink::seal() {
 bool TraceSink::sameSchedule(const TraceSink& a, const TraceSink& b) {
   VALPIPE_CHECK_MSG(a.sealed() && b.sealed(),
                     "sameSchedule requires sealed traces");
-  auto next = [](const std::vector<Event>& v, std::size_t& i) -> const Event* {
-    while (i < v.size() && v[i].kind == EventKind::BarrierWait) ++i;
-    return i < v.size() ? &v[i] : nullptr;
-  };
-  std::size_t i = 0, j = 0;
-  for (;;) {
-    const Event* ea = next(a.events_, i);
-    const Event* eb = next(b.events_, j);
-    if (!ea || !eb) return !ea && !eb;
-    if (!eventKeyEqual(*ea, *eb)) return false;
-    ++i;
-    ++j;
-  }
+  return std::equal(a.events_.begin(), a.events_.end(), b.events_.begin(),
+                    b.events_.end(), eventKeyEqual);
 }
 
 }  // namespace valpipe::obs

@@ -6,19 +6,16 @@
 // values, so the claim could previously be asserted only through end-to-end
 // output rates.  A TraceSink records the firing-level schedule itself —
 // cell firings, result and acknowledge packet routings, function-unit
-// denials — on the simulated instruction-time axis, buffered per engine
-// lane (the whole run for the serial schedulers, one shard for the parallel
-// one) and merged into one deterministic stream afterwards.
+// denials — on the simulated instruction-time axis, and sorts it into one
+// canonical stream when the run ends.
 //
 // Determinism contract: Fire / Result / Ack events are a pure function of
 // the simulated schedule, which is bit-identical across every SchedulerKind,
 // so their canonical stream is identical across Reference, Synchronous,
-// EventDriven and ParallelEventDriven at any shard count.  FuDenied events
-// are per-*examination* diagnostics: identical between EventDriven and
-// ParallelEventDriven (which re-examine a denied cell only when a unit
-// frees), but more frequent under the rescan schedulers, which re-examine
-// every cycle.  BarrierWait events are parallel-only wall-clock measurements
-// and are captured only when `captureBarriers` is set.
+// EventDriven and Compiled (whose fast-forward is off while a sink is
+// attached).  FuDenied events are per-*examination* diagnostics: EventDriven
+// re-examines a denied cell only when a unit frees, while the rescan
+// schedulers re-examine it every cycle and so record more of them.
 //
 // Cost contract: tracing off is a null-pointer test per firing hook (the
 // LaneProbe fast path in obs/probe.hpp); no sink, no cost.
@@ -34,29 +31,24 @@
 namespace valpipe::obs {
 
 enum class EventKind : std::uint8_t {
-  Fire,         ///< cell fired (cell = firing cell, aux = FU busy time)
-  Result,       ///< result packet routed (cell = producer, other = consumer,
-                ///< aux = arrival time after exec/route/inter-PE delays)
-  Ack,          ///< acknowledge routed (cell = producer being freed,
-                ///< other = consuming cell, aux = freedAt)
-  FuDenied,     ///< enabled cell found no free unit (aux = earliest free)
-  BarrierWait,  ///< parallel shard barrier (cell = shard, aux = wait in ns;
-                ///< wall-clock, non-deterministic; off by default)
+  Fire,      ///< cell fired (cell = firing cell, aux = FU busy time)
+  Result,    ///< result packet routed (cell = producer, other = consumer,
+             ///< aux = arrival time after exec/route/inter-PE delays)
+  Ack,       ///< acknowledge routed (cell = producer being freed,
+             ///< other = consuming cell, aux = freedAt)
+  FuDenied,  ///< enabled cell found no free unit (aux = earliest free)
 };
 
-/// One captured event on the simulated instruction-time axis.  `lane` is the
-/// recording lane (shard) — excluded from the canonical ordering so the
-/// stream compares equal across shard counts.
+/// One captured event on the simulated instruction-time axis.
 struct Event {
   std::int64_t time = 0;  ///< instruction time the event happened at
   std::int64_t aux = 0;   ///< kind-specific payload (see EventKind)
   std::uint32_t cell = 0;
   std::uint32_t other = 0;
   EventKind kind = EventKind::Fire;
-  std::uint8_t lane = 0;
 };
 
-/// Canonical (lane-independent) ordering and equality of events.
+/// Canonical ordering and equality of events.
 inline bool eventKeyLess(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.kind != b.kind) return a.kind < b.kind;
@@ -69,52 +61,33 @@ inline bool eventKeyEqual(const Event& a, const Event& b) {
          a.other == b.other && a.aux == b.aux;
 }
 
-/// One lane's append-only event buffer.  A lane is written by exactly one
-/// thread; cross-lane merging happens in TraceSink::seal after the run.
-class TraceBuffer {
- public:
-  void push(const Event& e) { events_.push_back(e); }
-  const std::vector<Event>& events() const { return events_; }
-  void clear() { events_.clear(); }
-
- private:
-  std::vector<Event> events_;
-};
-
 /// Static naming/grouping info for a traced graph: used by the Chrome
-/// exporter (one track per shard / PE / FU class) and the metrics JSON.
+/// exporter (one track per FU class, PE as an argument) and the metrics
+/// JSON.
 struct TraceMeta {
   std::vector<std::string> cellName;  ///< per cell, never empty
   std::vector<std::uint8_t> fuOf;     ///< per cell FuClass index
-  std::vector<std::uint32_t> laneOf;  ///< per cell recording lane (shard)
   std::vector<int> peOf;              ///< per cell PE, empty when unplaced
 
-  /// Names + FU classes from the lowered graph; laneOf defaults to all-0
-  /// (serial) and peOf to empty — the engine overwrites them as it knows.
+  /// Names + FU classes from the lowered graph; peOf starts empty — the
+  /// engine fills it when the run has a Placement.
   static TraceMeta of(const dfg::Graph& lowered);
 };
 
 /// Printable name of a cell: its label, else stream name, else "op#id".
 std::string cellDisplayName(const dfg::Graph& g, std::uint32_t cell);
 
-/// Collects one run's trace.  An engine calls begin() (sizing one buffer per
-/// lane), lanes record concurrently into their own buffers, and seal() merges
-/// them into the canonical stream.  The sink may be reused across runs;
-/// begin() resets it.
+/// Collects one run's trace.  An engine calls begin(), pushes events in
+/// the order its schedule produces them, and seal() sorts them into the
+/// canonical stream.  The sink may be reused across runs; begin() resets
+/// it.
 class TraceSink {
  public:
-  /// Capture BarrierWait events (wall-clock, parallel engine only).  Breaks
-  /// the cross-scheduler identity of the stream; off by default.
-  bool captureBarriers = false;
+  void begin(TraceMeta meta);
+  void push(const Event& e) { events_.push_back(e); }
 
-  void begin(std::uint32_t lanes, TraceMeta meta);
-  TraceBuffer& lane(std::uint32_t i) { return lanes_[i]; }
-  std::uint32_t laneCount() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
-
-  /// Merges every lane's buffer into the canonical stream (stable-sorted by
-  /// the lane-independent event key).  Called by the engine at run end.
+  /// Stable-sorts the recorded events by the canonical event key.  Called
+  /// by the engine at run end.
   void seal();
 
   bool sealed() const { return sealed_; }
@@ -122,11 +95,10 @@ class TraceSink {
   const TraceMeta& meta() const { return meta_; }
 
   /// True when the two sealed traces describe the same schedule: equal
-  /// canonical streams, BarrierWait events excluded.
+  /// canonical streams.
   static bool sameSchedule(const TraceSink& a, const TraceSink& b);
 
  private:
-  std::vector<TraceBuffer> lanes_;
   std::vector<Event> events_;
   TraceMeta meta_;
   bool sealed_ = false;

@@ -8,9 +8,9 @@
 // complete dynamic state, flattened the way the engines already flatten it
 // (exec::Slot / exec::CellDyn / exec::FifoState parallel arrays over the
 // ExecutableGraph's slot numbering); every scheduler — EventDriven,
-// Synchronous, Compiled, ParallelEventDriven, and the Reference oracle —
-// captures into and restores from this one format, so a snapshot taken under
-// one scheduler resumes under any other.
+// Synchronous, Compiled, and the Reference oracle — captures into and
+// restores from this one format, so a snapshot taken under one scheduler
+// resumes under any other.
 //
 // What is deliberately NOT captured: the time wheel.  Wake entries are
 // derivable from the materialized state (a full slot's readyAt wakes its
@@ -123,9 +123,10 @@ struct Snapshot {
   std::vector<std::int64_t> guardDelivered;
   std::vector<std::int64_t> guardConsumed;
 
-  // --- fault-injection lane state ---
-  /// splitmix64 decision-stream state per lane (one lane for the serial
-  /// engines, one per shard for the parallel one); empty when no plan.
+  // --- fault-injection state ---
+  /// The injector's splitmix64 decision-stream word: one entry, or empty
+  /// when the run carries no plan.  (A list so older files, which could
+  /// hold one word per engine lane, keep their byte layout.)
   std::vector<std::uint64_t> rngLanes;
   fault::Counters faultCounters;
 };
@@ -356,7 +357,7 @@ inline std::string serialize(const Snapshot& s) {
 
   w.u64s(s.rngLanes);
   w.u64(s.faultCounters.delayedResults);
-  w.u64(s.faultCounters.skewedMessages);
+  w.u64(0);  // retired counter word, kept so the byte layout stays version 1
   w.u64(s.faultCounters.outageDenials);
   w.u64(s.faultCounters.droppedResults);
   w.u64(s.faultCounters.duplicatedResults);
@@ -449,7 +450,7 @@ inline Snapshot deserialize(const void* data, std::size_t size) {
 
   s.rngLanes = r.u64s();
   s.faultCounters.delayedResults = r.u64();
-  s.faultCounters.skewedMessages = r.u64();
+  r.u64();  // retired counter word (see serialize)
   s.faultCounters.outageDenials = r.u64();
   s.faultCounters.droppedResults = r.u64();
   s.faultCounters.duplicatedResults = r.u64();

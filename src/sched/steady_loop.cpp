@@ -57,7 +57,7 @@ void SteadyLoop::request(std::uint32_t c, std::int64_t lo, std::int64_t hi) {
 }
 
 Value SteadyLoop::sourceValue(std::uint32_t c, std::int64_t k) const {
-  // Mirrors detail::EngineBase::sourceValue for the accepted source ops.
+  // Mirrors detail::SingleEngine::sourceValue for the accepted source ops.
   const exec::Cell& cell = eg_.cell(c);
   const std::int64_t j = k % cell.tokensPerWave;
   switch (cell.op) {

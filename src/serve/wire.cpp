@@ -11,6 +11,15 @@ namespace valpipe::serve {
 
 namespace {
 
+/// The pinned core::SchedulerKind wire values; 1 (a retired scheduler) and
+/// anything past Compiled are rejected.
+bool knownScheduler(std::uint8_t v) {
+  using K = core::SchedulerKind;
+  for (K k : {K::EventDriven, K::Synchronous, K::Reference, K::Compiled})
+    if (v == static_cast<std::uint8_t>(k)) return true;
+  return false;
+}
+
 // --- byte writer -----------------------------------------------------------
 
 struct Writer {
@@ -158,7 +167,7 @@ struct Reader {
     WireOptions o;
     o.fuseFifos = u8() != 0;
     o.scheduler = u8();
-    if (o.scheduler > static_cast<std::uint8_t>(core::SchedulerKind::Compiled))
+    if (!knownScheduler(o.scheduler))
       throw ProtocolError("unknown scheduler " + std::to_string(o.scheduler));
     o.waves = u32();
     if (o.waves == 0 || o.waves > 1'000'000)

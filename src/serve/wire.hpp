@@ -68,7 +68,7 @@ enum class MsgType : std::uint8_t {
 /// tests (notably fuseFifos, which keys the program cache).
 struct WireOptions {
   bool fuseFifos = true;
-  std::uint8_t scheduler = 0;  ///< core::SchedulerKind as an integer
+  std::uint8_t scheduler = 0;  ///< pinned core::SchedulerKind value
   std::uint32_t waves = 1;
   std::int64_t watchdog = 0;
   std::int64_t maxInstructionTimes = 50'000'000;

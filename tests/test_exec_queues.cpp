@@ -1,120 +1,16 @@
-// Unit tests for the event-driven scheduler's queue structures: the
-// cross-shard Mailbox ring under capacity pressure, and the ReadyQueue time
-// wheel — including a regression pin for the below-cursor wake() snap-back
-// (a sharded wheel can receive a wake behind a cursor nextTime() already
-// scanned forward; scanning from the stale cursor would miss or alias it).
+// Unit tests for the event-driven scheduler's ReadyQueue time wheel —
+// including a regression pin for the below-cursor wake() snap-back (a
+// restore or the compiled scheduler's wheel rebuild can wake a cell behind a
+// cursor nextTime() already scanned forward; scanning from the stale cursor
+// would miss or alias it).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "exec/mailbox.hpp"
 #include "exec/ready_queue.hpp"
 
 namespace valpipe::exec {
 namespace {
-
-Message result(std::uint32_t cell, std::int64_t time) {
-  Message m;
-  m.kind = Message::Kind::Result;
-  m.cell = cell;
-  m.slot = cell;
-  m.time = time;
-  m.wakeAt = time;
-  m.v = Value(static_cast<double>(cell));
-  return m;
-}
-
-std::vector<std::uint32_t> drainCells(const Mailbox& box,
-                                      bool reversed = false) {
-  std::vector<std::uint32_t> got;
-  if (reversed)
-    box.forEachReversed([&](const Message& m) { got.push_back(m.cell); });
-  else
-    box.forEach([&](const Message& m) { got.push_back(m.cell); });
-  return got;
-}
-
-TEST(Mailbox, PreservesPushOrderWithinRing) {
-  Mailbox box(8);
-  for (std::uint32_t c = 0; c < 5; ++c) box.push(result(c, 10 + c));
-  EXPECT_EQ(box.size(), 5u);
-  EXPECT_FALSE(box.empty());
-  EXPECT_EQ(box.overflows(), 0u);
-  EXPECT_EQ(drainCells(box), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-  box.clear();
-  EXPECT_TRUE(box.empty());
-  EXPECT_EQ(box.size(), 0u);
-}
-
-TEST(Mailbox, SpillsPastRingCapacityAndKeepsPushOrder) {
-  Mailbox box(4);  // ring holds exactly 4
-  const std::uint32_t total = 11;
-  for (std::uint32_t c = 0; c < total; ++c) box.push(result(c, c));
-  EXPECT_EQ(box.size(), total);
-  EXPECT_EQ(box.overflows(), total - 4u);
-  // forEach must present ring entries first, then spill — which is exactly
-  // push order, the property the deterministic drain relies on.
-  std::vector<std::uint32_t> want;
-  for (std::uint32_t c = 0; c < total; ++c) want.push_back(c);
-  EXPECT_EQ(drainCells(box), want);
-  // Reverse iteration (the fault injector's mailbox-reorder mode) is the
-  // exact mirror.
-  std::vector<std::uint32_t> rev(want.rbegin(), want.rend());
-  EXPECT_EQ(drainCells(box, /*reversed=*/true), rev);
-}
-
-TEST(Mailbox, ClearResetsWindowButOverflowCountIsCumulative) {
-  Mailbox box(2);
-  for (std::uint32_t lap = 0; lap < 5; ++lap) {
-    for (std::uint32_t c = 0; c < 3; ++c) box.push(result(100 * lap + c, c));
-    EXPECT_EQ(box.size(), 3u) << "lap " << lap;
-    EXPECT_EQ(drainCells(box),
-              (std::vector<std::uint32_t>{100 * lap, 100 * lap + 1,
-                                          100 * lap + 2}));
-    box.clear();
-    EXPECT_TRUE(box.empty());
-  }
-  // 1 overflow per lap (capacity 2, 3 pushes), never reset by clear().
-  EXPECT_EQ(box.overflows(), 5u);
-}
-
-TEST(Mailbox, PayloadAndTimestampsSurviveTheRing) {
-  Mailbox box(4);
-  Message ack;
-  ack.kind = Message::Kind::Acknowledge;
-  ack.cell = 7;
-  ack.slot = 13;
-  ack.time = 42;
-  ack.wakeAt = 43;
-  box.push(ack);
-  box.push(result(9, 50));
-  int seen = 0;
-  box.forEach([&](const Message& m) {
-    if (seen++ == 0) {
-      EXPECT_EQ(m.kind, Message::Kind::Acknowledge);
-      EXPECT_EQ(m.cell, 7u);
-      EXPECT_EQ(m.slot, 13u);
-      EXPECT_EQ(m.time, 42);
-      EXPECT_EQ(m.wakeAt, 43);
-    } else {
-      EXPECT_EQ(m.kind, Message::Kind::Result);
-      EXPECT_EQ(m.v.toReal(), 9.0);
-      EXPECT_EQ(m.time, 50);
-    }
-  });
-  EXPECT_EQ(seen, 2);
-}
-
-TEST(MailboxGrid, BoxesAreIndependentPerOrderedPair) {
-  MailboxGrid grid(3);
-  EXPECT_EQ(grid.shards(), 3u);
-  grid.box(0, 1).push(result(1, 1));
-  grid.box(1, 0).push(result(2, 2));
-  grid.box(1, 0).push(result(3, 3));
-  EXPECT_EQ(grid.box(0, 1).size(), 1u);
-  EXPECT_EQ(grid.box(1, 0).size(), 2u);
-  EXPECT_TRUE(grid.box(2, 2).empty());
-}
 
 TEST(ReadyQueue, PopsWakesInTimeOrderDeduplicated) {
   ReadyQueue q(/*cells=*/4, /*horizon=*/8);
@@ -132,11 +28,10 @@ TEST(ReadyQueue, PopsWakesInTimeOrderDeduplicated) {
   EXPECT_TRUE(q.empty());
 }
 
-// Regression pin for the sharded-wheel fix: wake() must snap the scan cursor
-// back when an entry lands below it.  nextTime() scans the cursor forward
-// over empty buckets; a cross-shard packet can then wake a cell at the
-// barrier time — behind the scanned-ahead cursor.  Without the snap-back the
-// wheel would skip the bucket (or alias it a full ring lap later).
+// Regression pin: wake() must snap the scan cursor back when an entry lands
+// below it.  nextTime() scans the cursor forward over empty buckets; a later
+// wake can then land behind the scanned-ahead cursor.  Without the snap-back
+// the wheel would skip the bucket (or alias it a full ring lap later).
 TEST(ReadyQueue, WakeBelowScannedCursorIsStillFound) {
   ReadyQueue q(/*cells=*/4, /*horizon=*/8);
   std::vector<std::uint32_t> out;
@@ -144,7 +39,7 @@ TEST(ReadyQueue, WakeBelowScannedCursorIsStillFound) {
   q.wake(0, 9);
   EXPECT_EQ(q.pop(out), 9);  // cursor is now 10
   EXPECT_TRUE(q.empty());
-  // A wake behind the cursor (as delivered by another shard at a barrier).
+  // A wake behind the scanned-ahead cursor.
   q.wake(1, 4);
   ASSERT_FALSE(q.empty());
   EXPECT_EQ(q.nextTime(), 4);  // not 4 + ring-size, and not skipped
@@ -169,7 +64,7 @@ TEST(ReadyQueue, AdvanceToSkipsGloballyActiveStretch) {
   std::vector<std::uint32_t> out;
   q.wake(0, 2);
   EXPECT_EQ(q.pop(out), 2);
-  // Shard idle while global time advances far past the ring size.
+  // Resume far past the ring size, as a restore from a snapshot does.
   q.advanceTo(1000);
   q.wake(1, 1003);  // within horizon of the advanced cursor
   EXPECT_EQ(q.nextTime(), 1003);

@@ -1,8 +1,8 @@
 // Fault-injection matrix (tests/test_fault_injection.cpp of the resilience
 // layer's contract):
 //
-//   * timing faults (latency jitter, delivery delay, barrier skew, mailbox
-//     reorder, FU outages) change only *when* packets move — on random
+//   * timing faults (latency jitter, delivery delay, FU outages) change
+//     only *when* packets move — on random
 //     programs, every scheduler under every seeded timing plan must produce
 //     outputs AND packet counters bit-identical to the fault-free Reference
 //     run.  This is the machine-level restatement of the paper's determinacy
@@ -45,7 +45,7 @@ constexpr SchedulerKind kAllSchedulers[] = {
     SchedulerKind::Reference,
     SchedulerKind::EventDriven,
     SchedulerKind::Synchronous,
-    SchedulerKind::ParallelEventDriven,
+    SchedulerKind::Compiled,
 };
 
 const char* schedName(SchedulerKind k) {
@@ -53,7 +53,7 @@ const char* schedName(SchedulerKind k) {
     case SchedulerKind::Reference: return "reference";
     case SchedulerKind::EventDriven: return "event-driven";
     case SchedulerKind::Synchronous: return "synchronous";
-    case SchedulerKind::ParallelEventDriven: return "parallel";
+    case SchedulerKind::Compiled: return "compiled";
   }
   return "?";
 }
@@ -98,7 +98,6 @@ MachineResult runUnder(const Workload& w, const MachineConfig& cfg,
   if (!toQuiescence)
     opts.expectedOutputs[w.prog.outputName] = w.prog.expectedOutputPerWave();
   opts.scheduler = k;
-  opts.threads = 2;
   opts.maxInstructionTimes = 500'000;  // backstop: faulted runs must not spin
   opts.faults = plan;
   opts.guards = guards;
@@ -145,13 +144,6 @@ std::vector<fault::Plan> timingPlans(unsigned seed) {
   }
   {
     fault::Plan p;
-    p.seed = seed + 2;
-    p.barrierSkewMax = 2;
-    p.mailboxReorder = true;
-    plans.push_back(p);
-  }
-  {
-    fault::Plan p;
     p.seed = seed + 3;
     p.outages.push_back({dfg::FuClass::Fpu, 3, 9});
     p.outages.push_back({dfg::FuClass::Alu, 10, 5});
@@ -162,8 +154,6 @@ std::vector<fault::Plan> timingPlans(unsigned seed) {
     p.seed = seed + 4;
     p.latencyJitterMax = 2;
     p.deliveryDelayMax = 1;
-    p.barrierSkewMax = 2;
-    p.mailboxReorder = true;
     p.outages.push_back({dfg::FuClass::Fpu, 5, 6});
     plans.push_back(p);
   }
@@ -228,13 +218,11 @@ TEST_P(FaultMatrix, TimingFaultsUnderGuardsAndPlacementStayClean) {
   plan.seed = static_cast<unsigned>(p) * 13 + 5;
   plan.latencyJitterMax = 2;
   plan.deliveryDelayMax = 2;
-  plan.barrierSkewMax = 1;
   plan.outages.push_back({dfg::FuClass::Pe, 2, 4});
   const guard::Config guards{};  // guards on: a timing fault must never trip one
   for (const SchedulerKind k : kAllSchedulers) {
     RunOptions opts = base;
     opts.scheduler = k;
-    opts.threads = 2;
     opts.faults = &plan;
     opts.guards = &guards;
     opts.watchdog = 2'000;  // nor may the watchdog misfire on a live run
@@ -391,13 +379,11 @@ TEST(FaultDestructive, EveryResultDuplicatedTripsAGuardByName) {
 
 TEST(FaultPlan, ParseDescribeRoundTrip) {
   const fault::Plan p = fault::parsePlan(
-      "seed=7,jitter=3,delay=2,skew=1,reorder,outage=fpu@10+20,"
+      "seed=7,jitter=3,delay=2,outage=fpu@10+20,"
       "outage=alu@5+3,drop-result=5,dup-result=6,drop-ack=7,dup-ack=8");
   EXPECT_EQ(p.seed, 7u);
   EXPECT_EQ(p.latencyJitterMax, 3);
   EXPECT_EQ(p.deliveryDelayMax, 2);
-  EXPECT_EQ(p.barrierSkewMax, 1);
-  EXPECT_TRUE(p.mailboxReorder);
   ASSERT_EQ(p.outages.size(), 2u);
   EXPECT_EQ(p.outages[0].fu, dfg::FuClass::Fpu);
   EXPECT_EQ(p.outages[0].from, 10);
@@ -407,7 +393,7 @@ TEST(FaultPlan, ParseDescribeRoundTrip) {
   EXPECT_EQ(p.dropAckPermille, 7);
   EXPECT_EQ(p.dupAckPermille, 8);
   EXPECT_FALSE(p.timingOnly());
-  EXPECT_EQ(p.maxExtraDelay(), 3 + 2 + 1);
+  EXPECT_EQ(p.maxExtraDelay(), 3 + 2);
   EXPECT_EQ(p.lastOutageEnd(), 30);
 
   // describe() round-trips through parsePlan.
@@ -415,8 +401,6 @@ TEST(FaultPlan, ParseDescribeRoundTrip) {
   EXPECT_EQ(q.seed, p.seed);
   EXPECT_EQ(q.latencyJitterMax, p.latencyJitterMax);
   EXPECT_EQ(q.deliveryDelayMax, p.deliveryDelayMax);
-  EXPECT_EQ(q.barrierSkewMax, p.barrierSkewMax);
-  EXPECT_EQ(q.mailboxReorder, p.mailboxReorder);
   EXPECT_EQ(q.outages.size(), p.outages.size());
   EXPECT_EQ(q.dropResultPermille, p.dropResultPermille);
   EXPECT_EQ(q.dupAckPermille, p.dupAckPermille);
@@ -430,6 +414,9 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::parsePlan("outage=fpu@1"), CompileError);
   EXPECT_THROW(fault::parsePlan("drop-result=2000"), CompileError);
   EXPECT_THROW(fault::parsePlan("drop-result=-1"), CompileError);
+  // Keys of no fault class are rejected, not ignored.
+  EXPECT_THROW(fault::parsePlan("skew=1"), CompileError);
+  EXPECT_THROW(fault::parsePlan("reorder"), CompileError);
 }
 
 TEST(StallCap, InterpreterThrowsPastInstructionTimeCap) {
@@ -451,7 +438,6 @@ TEST(StallCap, EveryEngineThrowsWhenCapCutsARunShort) {
     opts.waves = 1;
     opts.expectedOutputs[w.prog.outputName] = w.prog.expectedOutputPerWave();
     opts.scheduler = k;
-    opts.threads = 2;
     opts.maxInstructionTimes = 5;  // cuts any real run short
     try {
       machine::simulate(w.lowered, MachineConfig::unit(), w.streams, opts);
@@ -476,7 +462,6 @@ TEST(Watchdog, UnbalancedExpectationDiagnosesDeadlockNotFaults) {
     opts.waves = 1;
     opts.expectedOutputs[w.prog.outputName] = 1'000'000;  // never arrives
     opts.scheduler = k;
-    opts.threads = 2;
     opts.watchdog = 100;
     opts.maxInstructionTimes = 500'000;
     try {

@@ -5,8 +5,8 @@
 // deliberately unbalanced reconvergence by name with a structural
 // explanation, and pass again once core::balanceGraph repairs the graph.
 // The trace contract: Fire / Result / Ack streams are identical across
-// every SchedulerKind and shard count; FuDenied additionally matches
-// between EventDriven and ParallelEventDriven.
+// every SchedulerKind; FuDenied additionally matches between EventDriven and
+// Compiled, which runs the same event loop whenever a sink is attached.
 #include "testing.hpp"
 
 #include <sstream>
@@ -74,12 +74,10 @@ machine::MachineResult runWithSinks(const Graph& lowered,
                                     obs::MetricsSink* metrics,
                                     obs::TraceSink* trace,
                                     machine::SchedulerKind kind,
-                                    int threads = 0,
                                     machine::MachineConfig cfg =
                                         machine::MachineConfig::unit()) {
   machine::RunOptions opts;
   opts.scheduler = kind;
-  opts.threads = threads;
   opts.metrics = metrics;
   opts.trace = trace;
   const std::int64_t len = 256;
@@ -162,37 +160,31 @@ TEST(RateAuditor, BalancingRepairsTheUnbalancedGraph) {
 TEST(Trace, IdenticalAcrossAllSchedulersUnderUnitProfile) {
   const Graph g = figure2Graph(256);
 
-  obs::TraceSink ref, sync, ed;
+  obs::TraceSink ref, sync, ed, compiled;
   runWithSinks(g, nullptr, &ref, machine::SchedulerKind::Reference);
   runWithSinks(g, nullptr, &sync, machine::SchedulerKind::Synchronous);
   runWithSinks(g, nullptr, &ed, machine::SchedulerKind::EventDriven);
+  runWithSinks(g, nullptr, &compiled, machine::SchedulerKind::Compiled);
   ASSERT_TRUE(ref.sealed());
   ASSERT_TRUE(ed.sealed());
+  ASSERT_TRUE(compiled.sealed());
   ASSERT_FALSE(ed.events().empty());
 
   // Unit profile has unlimited units, so no FuDenied events exist and the
   // full streams must match across every scheduler.
   EXPECT_TRUE(obs::TraceSink::sameSchedule(ref, ed));
   EXPECT_TRUE(obs::TraceSink::sameSchedule(sync, ed));
-
-  for (int threads : {1, 2, 4}) {
-    obs::TraceSink ped;
-    runWithSinks(g, nullptr, &ped,
-                 machine::SchedulerKind::ParallelEventDriven, threads);
-    ASSERT_TRUE(ped.sealed()) << threads << " shards";
-    EXPECT_TRUE(obs::TraceSink::sameSchedule(ed, ped))
-        << threads << " shards";
-  }
+  EXPECT_TRUE(obs::TraceSink::sameSchedule(compiled, ed));
 }
 
-TEST(Trace, FuDeniedMatchesBetweenEventDrivenAndParallel) {
+TEST(Trace, FuDeniedMatchesBetweenEventDrivenAndCompiled) {
   const Graph g = figure2Graph(256);
   // One FPU forces contention: every firing competes for the single unit.
   const machine::MachineConfig cfg = machine::MachineConfig::hardware(1, 1, 1);
 
   obs::TraceSink ed;
   const auto resEd = runWithSinks(g, nullptr, &ed,
-                                  machine::SchedulerKind::EventDriven, 0, cfg);
+                                  machine::SchedulerKind::EventDriven, cfg);
   ASSERT_TRUE(resEd.completed) << resEd.note;
 
   bool sawDenied = false;
@@ -200,15 +192,11 @@ TEST(Trace, FuDeniedMatchesBetweenEventDrivenAndParallel) {
     if (e.kind == obs::EventKind::FuDenied) sawDenied = true;
   EXPECT_TRUE(sawDenied) << "contention config produced no FuDenied events";
 
-  for (int threads : {2, 4}) {
-    obs::TraceSink ped;
-    const auto resPed =
-        runWithSinks(g, nullptr, &ped,
-                     machine::SchedulerKind::ParallelEventDriven, threads, cfg);
-    ASSERT_TRUE(resPed.completed) << resPed.note;
-    EXPECT_TRUE(obs::TraceSink::sameSchedule(ed, ped))
-        << threads << " shards";
-  }
+  obs::TraceSink compiled;
+  const auto resCompiled = runWithSinks(
+      g, nullptr, &compiled, machine::SchedulerKind::Compiled, cfg);
+  ASSERT_TRUE(resCompiled.completed) << resCompiled.note;
+  EXPECT_TRUE(obs::TraceSink::sameSchedule(ed, compiled));
 }
 
 TEST(Trace, ChromeExportAndMetricsJsonAreWellFormedSmoke) {

@@ -209,12 +209,10 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
     ASSERT_TRUE(ref.completed) << ref.note;
     for (const SchedulerKind kind :
          {SchedulerKind::EventDriven, SchedulerKind::Synchronous,
-          SchedulerKind::ParallelEventDriven}) {
+          SchedulerKind::Compiled}) {
       opts.scheduler = kind;
-      opts.threads = kind == SchedulerKind::ParallelEventDriven ? 3 : 0;
       const MachineResult got = machine::simulate(fused, cfg, streams, opts);
       testing::expectIdentical(got, ref, "fused scheduler equivalence");
-      opts.threads = 0;
     }
 
     opts.scheduler = SchedulerKind::Reference;

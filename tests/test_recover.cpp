@@ -48,8 +48,9 @@ using testing::ProgramGen;
 using testing::randomArray;
 
 constexpr SchedulerKind kAllSchedulers[] = {
-    SchedulerKind::Reference,        SchedulerKind::EventDriven,
-    SchedulerKind::Synchronous,      SchedulerKind::ParallelEventDriven,
+    SchedulerKind::Reference,
+    SchedulerKind::EventDriven,
+    SchedulerKind::Synchronous,
     SchedulerKind::Compiled,
 };
 
@@ -58,7 +59,6 @@ const char* schedName(SchedulerKind k) {
     case SchedulerKind::Reference: return "reference";
     case SchedulerKind::EventDriven: return "event-driven";
     case SchedulerKind::Synchronous: return "synchronous";
-    case SchedulerKind::ParallelEventDriven: return "parallel";
     case SchedulerKind::Compiled: return "compiled";
   }
   return "?";
@@ -94,7 +94,6 @@ RunOptions baseOpts(const Workload& w, SchedulerKind k, int waves = 1) {
   opts.expectedOutputs[w.prog.outputName] =
       w.prog.expectedOutputPerWave() * waves;
   opts.scheduler = k;
-  opts.threads = 2;
   opts.maxInstructionTimes = 500'000;
   return opts;
 }
@@ -287,9 +286,7 @@ const char* destructiveName(int which) {
 TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
   const Workload w = makeWorkload(0);
   const guard::Config guards;
-  for (SchedulerKind k :
-       {SchedulerKind::Reference, SchedulerKind::EventDriven,
-        SchedulerKind::Synchronous, SchedulerKind::ParallelEventDriven}) {
+  for (SchedulerKind k : kAllSchedulers) {
     const MachineResult ref = machine::simulate(
         w.expanded, MachineConfig::unit(), w.streams, baseOpts(w, k));
     ASSERT_TRUE(ref.completed);
@@ -389,9 +386,7 @@ TEST(RecoverSupervisor, ExhaustionThrowsWithReport) {
 
 TEST(RecoverDeadline, ExpiryThrowsDeadlineError) {
   const Workload w = makeWorkload(0);
-  for (SchedulerKind k :
-       {SchedulerKind::Reference, SchedulerKind::EventDriven,
-        SchedulerKind::Synchronous, SchedulerKind::ParallelEventDriven}) {
+  for (SchedulerKind k : kAllSchedulers) {
     RunOptions opts = baseOpts(w, k, /*waves=*/200);
     opts.deadlineMicros = 1;  // expires before the first periodic check
     EXPECT_THROW(machine::simulate(w.expanded, MachineConfig::unit(),

@@ -140,6 +140,31 @@ TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   EXPECT_EQ(back.cacheHit, r.cacheHit);
 }
 
+TEST(ServeWireFuzz, SchedulerWireValuesArePinned) {
+  using K = core::SchedulerKind;
+  const std::pair<std::uint8_t, K> pinned[] = {
+      {0, K::EventDriven}, {2, K::Synchronous}, {3, K::Reference},
+      {4, K::Compiled}};
+  for (const auto& [wire, kind] : pinned) {
+    serve::WireOptions wo;
+    wo.scheduler = wire;
+    const auto open = serve::encodeOpen(1, "src", wo);
+    const serve::ClientMsg m = serve::parseClient(open.data(), open.size());
+    EXPECT_EQ(m.options.sessionOptions().scheduler, kind)
+        << "wire " << int(wire);
+  }
+  // 1 belonged to a retired scheduler and must not decode as another one;
+  // 5 is past the last kind.
+  for (std::uint8_t wire : {1, 5}) {
+    serve::WireOptions wo;
+    wo.scheduler = wire;
+    const auto open = serve::encodeOpen(1, "src", wo);
+    EXPECT_THROW(serve::parseClient(open.data(), open.size()),
+                 serve::ProtocolError)
+        << "wire " << int(wire);
+  }
+}
+
 TEST(ServeWireFuzz, LanePacksNeverCrossTheWire) {
   // Packs are a server-internal representation; the encoder refuses them.
   std::vector<Value> wave = {Value::pack({Value(1.0), Value(2.0)})};

@@ -115,7 +115,7 @@ inline void expectStreamNear(const std::vector<Value>& got,
 }
 
 /// Asserts two MachineResults are identical in every observable field —
-/// the scheduler-equivalence contract (all SchedulerKinds, any shard count).
+/// the scheduler-equivalence contract (all SchedulerKinds).
 inline void expectIdentical(const machine::MachineResult& got,
                             const machine::MachineResult& want,
                             const std::string& what) {
