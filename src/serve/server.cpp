@@ -46,7 +46,8 @@ struct Session::State {
   int wavesDispatched = 0;
   int wavesCompleted = 0;
   int wavesPulled = 0;
-  std::vector<std::optional<std::vector<Value>>> outByWave;  ///< size = waves
+  /// One slot per dispatched wave, filled on completion.
+  std::vector<std::optional<std::vector<Value>>> outByWave;
   bool inputsClosed = false;
 
   Status status = Status::Ok;
@@ -56,9 +57,8 @@ struct Session::State {
   std::int64_t retryAfterMillis = 0;  ///< Overloaded hint for the Response
   std::atomic<bool> failed{false};  ///< lock-free peek for queue scans
   bool done = false;
-  bool promiseSet = false;
   std::promise<Response> completion;
-  std::shared_future<Response> completionFut;
+  std::shared_future<Response> completionFut;  ///< open() sessions only
 
   Response buildResponseLocked() {
     Response r;
@@ -90,10 +90,7 @@ struct Session::State {
     // Account the session BEFORE settling the promise: a caller woken by
     // the future must already see this request in ServerStats.
     server->onSessionDone(status == Status::Ok);
-    if (!promiseSet) {
-      promiseSet = true;
-      completion.set_value(buildResponseLocked());
-    }
+    completion.set_value(buildResponseLocked());
     cv.notify_all();
   }
 
@@ -300,10 +297,9 @@ void Server::onSessionDone(bool ok) {
     ++stats_.requestsFailed;
 }
 
-std::shared_ptr<Session> Server::open(const std::string& source,
-                                      const core::CompileOptions& copts,
-                                      const SessionOptions& sopts,
-                                      Response* why) {
+std::shared_ptr<Session::State> Server::openSession(
+    const std::string& source, const core::CompileOptions& copts,
+    const SessionOptions& sopts, Response* why) {
   auto reject = [&](Status st, const std::string& err,
                     std::int64_t retryAfter = 0) {
     if (why) {
@@ -314,7 +310,7 @@ std::shared_ptr<Session> Server::open(const std::string& source,
     }
     std::lock_guard<std::mutex> lk(smu_);
     ++stats_.sessionsRejected;
-    return std::shared_ptr<Session>();
+    return std::shared_ptr<Session::State>();
   };
 
   {
@@ -370,8 +366,6 @@ std::shared_ptr<Session> Server::open(const std::string& source,
   }
   st->t0 = std::chrono::steady_clock::now();
   st->stats.cacheHit = cacheHit;
-  st->outByWave.resize(static_cast<std::size_t>(sopts.waves));
-  st->completionFut = st->completion.get_future().share();
 
   {
     std::lock_guard<std::mutex> lk(smu_);
@@ -380,6 +374,16 @@ std::shared_ptr<Session> Server::open(const std::string& source,
     std::erase_if(sessions_, [](const auto& w) { return w.expired(); });
     sessions_.push_back(st);
   }
+  return st;
+}
+
+std::shared_ptr<Session> Server::open(const std::string& source,
+                                      const core::CompileOptions& copts,
+                                      const SessionOptions& sopts,
+                                      Response* why) {
+  std::shared_ptr<Session::State> st = openSession(source, copts, sopts, why);
+  if (!st) return nullptr;
+  st->completionFut = st->completion.get_future().share();
   return std::shared_ptr<Session>(new Session(std::move(st)));
 }
 
@@ -387,71 +391,42 @@ std::future<Response> Server::submit(const std::string& source,
                                      const core::CompileOptions& copts,
                                      run::StreamMap inputs,
                                      const SessionOptions& sopts) {
-  std::promise<Response> p;
-  std::future<Response> fut = p.get_future();
-
   Response why;
-  SessionOptions so = sopts;
-  std::shared_ptr<Session> session = open(source, copts, so, &why);
-  if (!session) {
-    p.set_value(std::move(why));
-    return fut;
+  std::shared_ptr<Session::State> st = openSession(source, copts, sopts, &why);
+  if (!st) {
+    std::promise<Response> rejected;
+    rejected.set_value(std::move(why));
+    return rejected.get_future();
   }
-  session->st_->collectAll = true;
-
-  // Validate whole-run input shapes up front, then feed wave by wave.
-  const CachedProgram& prog = *session->st_->prog;
-  for (const auto& [name, range] : prog.program.inputs) {
-    auto it = inputs.find(name);
-    const auto want = static_cast<std::size_t>(
-        prog.program.inputLengthPerWave(name) * so.waves);
-    if (it == inputs.end() || it->second.size() != want) {
-      std::lock_guard<std::mutex> lk(session->st_->mu);
-      session->st_->failLocked(
-          Status::BadRequest,
-          it == inputs.end()
-              ? "missing input stream '" + name + "'"
-              : "input stream '" + name + "' has " +
-                    std::to_string(it->second.size()) + " values, expected " +
-                    std::to_string(want));
-      p.set_value(session->st_->buildResponseLocked());
-      return fut;
-    }
-  }
-
-  // Feed from a pump thread so submit() never blocks on backpressure; the
-  // pump settles `p` with the session's outcome.  Pumps are joined by
-  // shutdown() — if shutdown already closed the roster, settle inline.
-  auto pump = [session, inputs = std::move(inputs), so,
-               p = std::move(p)]() mutable {
-    const CachedProgram& cp = *session->st_->prog;
-    bool alive = true;
-    for (int w = 0; alive && w < so.waves; ++w) {
-      for (const auto& [name, range] : cp.program.inputs) {
-        const auto per =
-            static_cast<std::size_t>(cp.program.inputLengthPerWave(name));
-        const std::vector<Value>& whole = inputs[name];
-        std::vector<Value> wave(
-            whole.begin() + static_cast<long>(w * per),
-            whole.begin() + static_cast<long>((w + 1) * per));
-        if (!session->push(name, std::move(wave))) {
-          alive = false;
-          break;
-        }
-      }
-    }
-    if (alive) session->closeInputs();
-    p.set_value(session->finish());
-  };
+  std::future<Response> fut = st->completion.get_future();
   {
-    std::lock_guard<std::mutex> lk(fmu_);
-    if (feedersClosed_) {
-      session->cancel();
-      pump();  // pushes fail fast on the cancelled session; settles p
-      return fut;
+    // Check each whole-run input's shape and deposit all its waves at once.
+    // The session window paces dispatch from here: each finished wave
+    // refills it (deliver), so no thread has to feed the session.
+    std::lock_guard<std::mutex> lk(st->mu);
+    st->collectAll = true;
+    const core::CompiledProgram& prog = st->prog->program;
+    for (const auto& [name, range] : prog.inputs) {
+      auto it = inputs.find(name);
+      const auto per = prog.inputLengthPerWave(name);
+      const auto want = static_cast<std::size_t>(per * sopts.waves);
+      if (it == inputs.end() || it->second.size() != want) {
+        st->failLocked(
+            Status::BadRequest,
+            it == inputs.end()
+                ? "missing input stream '" + name + "'"
+                : "input stream '" + name + "' has " +
+                      std::to_string(it->second.size()) + " values, expected " +
+                      std::to_string(want));
+        return fut;
+      }
+      auto wave = std::make_move_iterator(it->second.begin());
+      for (int w = 0; w < sopts.waves; ++w, wave += per)
+        st->pendingIn[name].emplace_back(wave, wave + per);
     }
-    feeders_.emplace_back(std::move(pump));
+    st->inputsClosed = true;
   }
+  dispatchReady(st);
   return fut;
 }
 
@@ -509,6 +484,7 @@ void Server::dispatchReady(const std::shared_ptr<Session::State>& st) {
       if (st->pendingWavesLocked() == 0) return;
       unit.st = st;
       unit.wave = st->wavesDispatched++;
+      st->outByWave.emplace_back();
       for (auto& [name, q] : st->pendingIn) {
         unit.inputs.emplace(name, std::move(q.front()));
         q.pop_front();
@@ -575,7 +551,7 @@ void Server::workerLoop() {
 void Server::deliver(RunUnit& unit, std::vector<Value> outWave,
                      const machine::MachineResult& res, int lanes) {
   Session::State& s = *unit.st;
-  std::lock_guard<std::mutex> lk(s.mu);
+  std::unique_lock<std::mutex> lk(s.mu);
   if (s.failed.load()) return;
   s.outByWave[static_cast<std::size_t>(unit.wave)] = std::move(outWave);
   ++s.wavesCompleted;
@@ -585,6 +561,8 @@ void Server::deliver(RunUnit& unit, std::vector<Value> outWave,
   s.stats.faults.add(res.faults);
   s.maybeFinishLocked();
   s.cv.notify_all();
+  lk.unlock();
+  dispatchReady(unit.st);  // a finished wave reopens a one-shot's window
 }
 
 void Server::fail(RunUnit& unit, Status st, const std::string& why,
@@ -737,16 +715,6 @@ void Server::shutdown() {
       if (!st->done) st->failLocked(Status::Cancelled, "server shutdown");
     }
   }
-  // Join the submit() pumps first (cancelled sessions unblock them), then
-  // the executors.
-  std::vector<std::thread> pumps;
-  {
-    std::lock_guard<std::mutex> lk(fmu_);
-    feedersClosed_ = true;
-    pumps = std::move(feeders_);
-  }
-  for (std::thread& t : pumps)
-    if (t.joinable()) t.join();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   workers_.clear();

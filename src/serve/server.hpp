@@ -16,7 +16,11 @@
 //     consumer pull()s completed output waves.  Producer-side backpressure
 //     therefore propagates from a slow consumer through the engine queue to
 //     the data source, and no session buffers more than a bounded number of
-//     waves regardless of how long its stream is.
+//     waves regardless of how long its stream is.  A one-shot submit()
+//     already holds its whole input: it deposits every wave at once, the
+//     same window bounds its in-flight runs, and each finished wave refills
+//     it.  The only threads a Server runs are its `workers` executors;
+//     nothing is started per request.
 //
 //   * Lane-batched execution — wave-runs of different sessions over the SAME
 //     cached program are fused, up to `laneWidth` at a time, into one engine
@@ -223,8 +227,10 @@ class Server {
                                 Response* why = nullptr);
 
   /// One-shot request: whole inputs in (length = waves x per-wave length),
-  /// whole outputs back in the Response.  The future is fulfilled on
-  /// completion, rejection, or failure — never abandoned.
+  /// whole outputs back in the Response.  Never blocks: every wave is
+  /// deposited at once and dispatched as the session window allows.  The
+  /// future is fulfilled on completion, rejection, or failure — never
+  /// abandoned.
   std::future<Response> submit(const std::string& source,
                                const core::CompileOptions& copts,
                                run::StreamMap inputs,
@@ -242,7 +248,12 @@ class Server {
   friend struct Session::State;
   struct RunUnit;
 
-
+  /// Admission, cached compile and roster registration shared by open()
+  /// and submit(); null (with `why` filled) on rejection.
+  std::shared_ptr<Session::State> openSession(const std::string& source,
+                                              const core::CompileOptions& copts,
+                                              const SessionOptions& sopts,
+                                              Response* why);
   void workerLoop();
   void execute(std::vector<RunUnit> batch);
   void runSolo(RunUnit& unit);
@@ -281,11 +292,7 @@ class Server {
   std::mutex rmu_;  ///< guards buckets_
   std::map<std::string, TokenBucket> buckets_;
 
-  std::mutex fmu_;  ///< guards feeders_ (one-shot submit() input pumps)
-  bool feedersClosed_ = false;
-  std::vector<std::thread> feeders_;
-
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< the only threads a Server owns
 };
 
 }  // namespace valpipe::serve

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <map>
 #include <system_error>
+#include <thread>
 
 namespace valpipe::serve {
 
@@ -228,13 +229,8 @@ void Listener::stop() {
 
 void Listener::run() {
   acceptLoop();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    conns = std::move(conns_);
-  }
-  for (std::thread& t : conns)
-    if (t.joinable()) t.join();
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_.wait(lk, [&] { return live_ == 0; });
 }
 
 void Listener::acceptLoop() {
@@ -244,12 +240,20 @@ void Listener::acceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener shut down (stop()) or unrecoverable
     }
-    std::lock_guard<std::mutex> lk(mu_);
-    conns_.emplace_back([this, fd] {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      ++live_;
+    }
+    // Detached, so the thread's stack goes back when its connection ends,
+    // not when run() returns.  The thread touches nothing of this Listener
+    // after its last unlock, so run() may return once the count is 0.
+    std::thread([this, fd] {
       const bool shutdownRequested = serveConnection(server_, fd, fd);
       ::close(fd);
       if (shutdownRequested) stop();
-    });
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--live_ == 0) idle_.notify_all();
+    }).detach();
   }
 }
 

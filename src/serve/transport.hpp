@@ -1,11 +1,13 @@
 // Socket/stdio transport of valpipe-serve.
 //
 // A Listener accepts connections on an AF_UNIX socket and runs one service
-// thread per connection; serveConnection() speaks the wire protocol over any
-// fd pair, so the same loop also serves a stdio pipe (fd 0/1) for harnesses
-// that spawn the server as a child process.  Each connection owns a map of
-// client-numbered sessions; when the connection drops, its unfinished
-// sessions are cancelled so a vanished client cannot pin admission slots.
+// thread per live connection; the thread ends, and its stack is released,
+// when its connection does.  serveConnection() speaks the wire protocol over
+// any fd pair, so the same loop also serves a stdio pipe (fd 0/1) for
+// harnesses that spawn the server as a child process.  Each connection owns
+// a map of client-numbered sessions; when the connection drops, its
+// unfinished sessions are cancelled so a vanished client cannot pin
+// admission slots.
 //
 // Flow control composes with the core: Session::push blocks under
 // backpressure, which blocks this connection's service thread, which stops
@@ -15,10 +17,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
@@ -30,7 +32,7 @@ namespace valpipe::serve {
 /// request.  Returns true when the client asked for server shutdown.
 bool serveConnection(Server& server, int inFd, int outFd);
 
-/// AF_UNIX listener: accept loop + one service thread per connection.
+/// AF_UNIX listener: accept loop + one service thread per live connection.
 class Listener {
  public:
   /// Binds `path` (unlinking any stale socket file first) and starts the
@@ -39,7 +41,7 @@ class Listener {
   ~Listener();
 
   /// Blocks until a client requests Shutdown (or stop() is called), then
-  /// stops accepting, joins connection threads, and removes the socket file.
+  /// stops accepting and returns once every connection thread has ended.
   void run();
 
   /// Asks the accept loop to exit (callable from a signal-ish context is NOT
@@ -53,8 +55,9 @@ class Listener {
   std::string path_;
   int listenFd_ = -1;
   std::atomic<bool> stopRequested_{false};
-  std::mutex mu_;
-  std::vector<std::thread> conns_;
+  std::mutex mu_;  ///< guards live_
+  std::condition_variable idle_;
+  int live_ = 0;   ///< connection threads still serving
 };
 
 // --- client-side helpers ---------------------------------------------------

@@ -1,11 +1,15 @@
 // End-to-end serving (serve/server.hpp): correctness of one-shot and
 // streaming requests against direct engine runs, admission control, session
-// isolation under injected faults, divergence fallback, backpressure, and
-// structured failure reporting.  Run under the TSan preset (ctest -L tsan):
-// the whole subsystem is concurrent by construction.
+// isolation under injected faults, divergence fallback, backpressure,
+// structured failure reporting, and what a request may cost the process:
+// no thread per request, no memory per declared but unsent wave.  Run under
+// the TSan preset (ctest -L tsan): the whole subsystem is concurrent by
+// construction.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +93,86 @@ TEST(Serve, OneShotMatchesDirectRunAndHitsTheCache) {
   EXPECT_EQ(st.requestsCompleted, std::uint64_t(kN));
   EXPECT_EQ(st.requestsFailed, 0u);
   EXPECT_EQ(st.lanesExecuted, std::uint64_t(kN));
+  server.shutdown();
+}
+
+TEST(Serve, OneShotWithMoreWavesThanTheWindow) {
+  serve::ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.laneWidth = 4;
+  serve::Server server(cfg);
+
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+
+  // A one-shot has no consumer to pull, so only finished waves can let the
+  // waves beyond the in-flight window through.
+  serve::SessionOptions sopts;
+  sopts.waves = 3 * static_cast<int>(cfg.sessionWindowWaves) + 1;
+
+  constexpr int kN = 4;
+  std::vector<run::StreamMap> whole(kN);
+  std::vector<std::vector<Value>> expected(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    for (int w = 0; w < sopts.waves; ++w) {
+      const run::StreamMap wave =
+          tenantInputs(prog, 1000u * unsigned(i + 1) + unsigned(w));
+      for (const auto& [name, data] : wave)
+        whole[i][name].insert(whole[i][name].end(), data.begin(), data.end());
+      const std::vector<Value> out = directRun(prog, wave).at(prog.outputName);
+      expected[i].insert(expected[i].end(), out.begin(), out.end());
+    }
+
+  std::vector<std::future<serve::Response>> futs;
+  for (std::size_t i = 0; i < kN; ++i)
+    futs.push_back(server.submit(src, copts(), whole[i], sopts));
+  for (std::size_t i = 0; i < kN; ++i) {
+    // Bounded wait: a request that never completes fails, not hangs.
+    ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "request " << i << " did not complete";
+    const serve::Response r = futs[i].get();
+    ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+    EXPECT_EQ(r.outputs.at(prog.outputName), expected[i])
+        << "request " << i << " differs from its per-wave direct runs";
+  }
+  server.shutdown();
+}
+
+TEST(Serve, SubmitLeavesNoThreadBehind) {
+  serve::Server server;
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+  const run::StreamMap in = tenantInputs(prog, 31);
+
+  // The first request compiles and warms the worker's allocator.
+  ASSERT_TRUE(server.submit(src, copts(), in).get().ok());
+  const long before = testing::procStatus("VmSize");
+  for (int i = 0; i < 64; ++i)
+    ASSERT_TRUE(server.submit(src, copts(), in).get().ok()) << "request " << i;
+  // A thread left behind per request would keep its 8 MiB stack mapped.
+  const long grownKiB = testing::procStatus("VmSize") - before;
+  EXPECT_LT(grownKiB, 64 * 1024) << "64 requests grew VmSize by " << grownKiB
+                                 << " KiB";
+  server.shutdown();
+}
+
+TEST(Serve, IdleSessionsDoNotPayForDeclaredWaves) {
+  serve::Server server;
+  const std::string src = testing::example1Source(8);
+  ASSERT_NE(server.open(src, copts()), nullptr);  // compile outside the count
+
+  serve::SessionOptions sopts;
+  sopts.waves = 1'000'000;  // the most a wire Open may declare
+  const long before = testing::procStatus("VmRSS");
+  std::vector<std::shared_ptr<serve::Session>> idle;
+  for (int i = 0; i < 16; ++i) {
+    idle.push_back(server.open(src, copts(), sopts));
+    ASSERT_NE(idle.back(), nullptr);
+  }
+  const long grownKiB = testing::procStatus("VmRSS") - before;
+  EXPECT_LT(grownKiB, 16 * 1024) << "16 idle sessions cost " << grownKiB
+                                 << " KiB of RSS";
   server.shutdown();
 }
 

@@ -4,11 +4,16 @@
 // (recover::superviseRun) and the degradation ladder strips the destructive
 // classes on retry, so chaos costs attempts, never answers.  Also covers the
 // overload surface over the wire: tenant rate limiting and lowest-priority
-// queue shedding both yield Status::Overloaded plus a Retry-After hint.
+// queue shedding both yield Status::Overloaded plus a Retry-After hint.  And
+// the socket path's own bounds: a one-shot with more waves than the session
+// window completes, and a connection's thread ends with its connection.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +54,14 @@ run::StreamMap directRun(const core::CompiledProgram& prog,
   return res.outputs;
 }
 
+/// A socket path of this process's own: ctest runs each test alone and the
+/// whole binary as one suite at the same time, and two servers must never
+/// bind one path.
+std::string socketPath(const std::string& name) {
+  return ::testing::TempDir() + name + "-" + std::to_string(::getpid()) +
+         ".sock";
+}
+
 /// A destructive plan aggressive enough that a clean first attempt across
 /// several runs is (astronomically) unlikely, so the supervised-retry path
 /// is actually exercised.
@@ -72,7 +85,7 @@ TEST(ServeChaos, SocketRunsUnderDestructiveChaosCompleteBitIdentical) {
   cfg.retry.ensureWatchdog = 500;  // dropped packets stall; bound each attempt
   serve::Server server(cfg);
 
-  const std::string path = ::testing::TempDir() + "valpipe-chaos.sock";
+  const std::string path = socketPath("valpipe-chaos");
   serve::Listener listener(server, path);
   std::thread accept([&] { listener.run(); });
 
@@ -125,13 +138,90 @@ TEST(ServeChaos, SocketRunsUnderDestructiveChaosCompleteBitIdentical) {
   server.shutdown();
 }
 
+TEST(ServeChaos, WireRunWithMoreWavesThanTheWindow) {
+  serve::Server server;  // default window: 4 waves in flight per session
+  const std::string path = socketPath("valpipe-waves");
+  serve::Listener listener(server, path);
+  std::thread accept([&] { listener.run(); });
+
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+  serve::WireOptions o;
+  o.waves = 9;
+  run::StreamMap whole;
+  std::vector<Value> expected;
+  for (unsigned w = 0; w < o.waves; ++w) {
+    const run::StreamMap wave = tenantInputs(prog, 800u + w);
+    for (const auto& [name, data] : wave)
+      whole[name].insert(whole[name].end(), data.begin(), data.end());
+    const std::vector<Value> out = directRun(prog, wave).at(prog.outputName);
+    expected.insert(expected.end(), out.begin(), out.end());
+  }
+
+  const int fd = serve::connectTo(path);
+  // Bounded wait: a reply that never comes fails the read, not the suite.
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  serve::ReplyMsg r;
+  std::string noReply;
+  try {
+    r = serve::requestRun(fd, src, o, whole);
+  } catch (const std::exception& e) {
+    noReply = e.what();
+  }
+  ::close(fd);
+  listener.stop();
+  server.shutdown();  // cancels a request still running, so run() returns
+  accept.join();
+
+  ASSERT_TRUE(noReply.empty()) << "no RunResult: " << noReply;
+  ASSERT_EQ(r.type, serve::MsgType::RunResult) << r.error;
+  ASSERT_EQ(r.status, statusByte(serve::Status::Ok)) << r.error;
+  EXPECT_EQ(r.outputs.at(prog.outputName), expected);
+}
+
+TEST(ServeChaos, EndedConnectionsLeaveNoThreadBehind) {
+  serve::Server server;
+  const std::string path = socketPath("valpipe-conns");
+  serve::Listener listener(server, path);
+  std::thread accept([&] { listener.run(); });
+  const long threads = testing::procStatus("Threads");
+
+  // One Ping connection, then wait until its service thread has exited, so
+  // the next connection can reuse that thread's stack and malloc arena.
+  auto pingOnce = [&] {
+    const int fd = serve::connectTo(path);
+    serve::writeFrame(fd, serve::encodePing());
+    const auto frame = serve::readFrame(fd);
+    ::close(fd);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(serve::parseReply(frame->data(), frame->size()).type,
+              serve::MsgType::Pong);
+    for (int ms = 0; testing::procStatus("Threads") > threads; ++ms) {
+      ASSERT_LT(ms, 5000) << "connection thread still running";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  pingOnce();  // warms the accept thread's allocator
+  const long before = testing::procStatus("VmSize");
+  for (int i = 0; i < 64 && !HasFatalFailure(); ++i) pingOnce();
+  // A thread kept until run() returns would keep its 8 MiB stack mapped.
+  const long grownKiB = testing::procStatus("VmSize") - before;
+  EXPECT_LT(grownKiB, 64 * 1024) << "64 connections grew VmSize by "
+                                 << grownKiB << " KiB";
+
+  listener.stop();
+  accept.join();
+  server.shutdown();
+}
+
 TEST(ServeChaos, RateLimitedTenantGetsOverloadedWithRetryAfterOverTheWire) {
   serve::ServerConfig cfg;
   cfg.rateWavesPerSecond = 0.5;  // refills far slower than the test runs
   cfg.rateBurstWaves = 1;
   serve::Server server(cfg);
 
-  const std::string path = ::testing::TempDir() + "valpipe-rate.sock";
+  const std::string path = socketPath("valpipe-rate");
   serve::Listener listener(server, path);
   std::thread accept([&] { listener.run(); });
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <random>
 #include <string>
@@ -67,6 +68,16 @@ inline std::string figure3Source(int m = 8) {
   in X endlet
 endfun
 )";
+}
+
+/// One numeric `/proc/self/status` field: VmSize and VmRSS in KiB, Threads
+/// as a count; -1 if absent.
+inline long procStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind(field + ":", 0) == 0)
+      return std::stol(line.substr(field.size() + 1));
+  return -1;
 }
 
 /// Deterministic pseudo-random real array over `range`.
