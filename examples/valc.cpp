@@ -19,9 +19,11 @@
 //                                             compiled (all bit-identical;
 //                                             compiled fast-forwards the
 //                                             steady state)
-//     --explain-schedule                      dump the static-schedule IR
-//                                             (hyper-period, per-cell slots,
-//                                             or the decline reason)
+//     --explain-schedule                      dump the static-schedule IR:
+//                                             straight-line (per-cell
+//                                             slots), replay (control ports
+//                                             and their sources), or the
+//                                             decline reason
 //     --classify                              only report the program class
 //     --profile                               run + §3 audit + metrics JSON
 //     --trace FILE                            run + Chrome trace to FILE
@@ -341,12 +343,13 @@ int main(int argc, char** argv) {
         const auto& ci = res.compiled;
         if (ci.fastForwarded)
           std::printf("  compiled: period %lld, fast-forwarded %lld windows"
-                      " = %lld instruction times (%llu firings%s)\n",
+                      " = %lld instruction times (%llu firings%s%s)\n",
                       static_cast<long long>(ci.detectedPeriod),
                       static_cast<long long>(ci.windowsSkipped),
                       static_cast<long long>(ci.cyclesSkipped),
                       static_cast<unsigned long long>(ci.firingsSkipped),
-                      ci.vectorized ? ", vectorized" : "");
+                      ci.vectorized ? ", vectorized" : "",
+                      ci.replayed ? ", replayed" : "");
         else
           std::printf("  compiled: %s\n",
                       ci.reason.empty() ? "no fast-forward taken"

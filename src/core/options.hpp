@@ -55,7 +55,7 @@ enum class SchedulerKind {
   /// Steady-state backend over the sched::SteadySchedule IR: event-driven
   /// fill/drain with the periodic middle fast-forwarded in bulk.  Falls back
   /// to EventDriven (see CompiledFallback) when the schedule IR declines the
-  /// graph — gates, merges, feedback cycles, unbalanced reconvergence.
+  /// graph — array memory, or a gate/merge control computed from input.
   Compiled = 4,
 };
 

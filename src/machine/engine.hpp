@@ -105,10 +105,12 @@ struct MachineResult {
     bool requested = false;      ///< run asked for SchedulerKind::Compiled
     bool accepted = false;       ///< the schedule IR accepted the graph
     bool fastForwarded = false;  ///< >= 1 steady-state jump actually taken
-    bool vectorized = false;     ///< value loop ran the all-real fast path
+    bool vectorized = false;     ///< a jump's values came from SteadyLoop
+    bool replayed = false;       ///< a jump's values came from window replay
     std::string reason;          ///< decline / no-jump diagnostic ("" if none)
     std::int64_t hyperPeriod = 0;      ///< static IR period (unit profile)
     std::int64_t detectedPeriod = 0;   ///< measured steady period (cycles)
+    std::int64_t jumps = 0;            ///< fast-forward jumps taken
     std::int64_t windowsSkipped = 0;   ///< hyper-periods fast-forwarded
     std::int64_t cyclesSkipped = 0;    ///< instruction times fast-forwarded
     std::uint64_t firingsSkipped = 0;  ///< firings accounted in bulk

@@ -1,38 +1,57 @@
 // SchedulerKind::Compiled — the steady-state backend over the
 // sched::SteadySchedule IR.
 //
-// A balanced graph's run has three phases (§3): a fill transient while the
-// pipe loads, a periodic steady state where every cell fires once per
-// hyper-period, and a drain transient as the sources exhaust.  The event
-// engine spends the same per-token effort on all three; only the transients
-// need it.  The compiled scheduler therefore runs the ordinary event loop
-// (detail::SingleEngine::runEventLoop) with a per-step hook that
+// A run whose control is compile-time has three phases (§3): a fill
+// transient while the pipe loads, a periodic steady state where the machine
+// repeats one window of firings, and a drain transient as the sources
+// exhaust.  The event engine spends the same per-token effort on all three;
+// only the transients need it.  The compiled scheduler therefore runs the
+// ordinary event loop (detail::SingleEngine::runEventLoop) with a per-step
+// hook that
 //
 //   1. mirrors the time wheel's pending wakes (SingleEngine::wakeLog), so the
 //      wheel can be rebuilt, shifted in time, after a jump;
-//   2. once past an arming time that covers the fill transient, snapshots the
-//      machine state in shift-canonical form — every timestamp taken relative
-//      to `now` and floored at a horizon below which it can never influence
-//      behavior again — and watches for the state to recur;
+//   2. once the fill transient is over, snapshots the machine state in
+//      shift-canonical form — every timestamp taken relative to `now` and
+//      floored where it can no longer influence behavior, plus the
+//      occupants of full control slots — logs each step's firings from the
+//      base snapshot on, and watches for the state to recur;
 //   3. on a recurrence with at least one firing in between (a steady period
 //      of measured length δ), fast-forwards N whole periods at once: counters
 //      advance by N times the per-window delta, timestamps shift by K = N·δ,
 //      and every value the skipped windows would have produced (output
-//      elements, slot occupants, FIFO ring contents) is reconstructed by
-//      token index with sched::SteadyLoop — a straight-line loop over
-//      preallocated blocks, vectorized when the values are provably all real.
+//      elements, slot occupants, FIFO ring contents) is reconstructed — by
+//      sched::SteadyLoop on a straight-line all-real graph, and otherwise by
+//      replaying the logged window N times over a value-only copy of the
+//      slots and rings (replayWindow below).
 //
-// Bit-identity argument: the engine is deterministic and, on an accepted
-// graph (no gates, merges, array memory, feedback, or initial tokens), its
-// *timing* trajectory is value-independent — values flow only into outputs
-// and arithmetic, never into enabling decisions.  The canonical snapshot
-// plus the pending-wake mirror is exactly the state that determines the
-// future trajectory, so a recurrence proves the trajectory from t1 replays
-// the window (t0, t1] shifted by δ, forever — until a source exhausts or an
-// expected-output count completes, both of which the jump bound N keeps at
-// least two windows away.  Values are reconstructed with the same ops::
-// routines on the same inputs (sched/steady_loop.hpp), so outputs — and any
-// ValueError a skipped window would have thrown — are identical too.
+// Bit-identity argument.  The engine is deterministic, and its *timing*
+// trajectory depends on values only through control slots (a gate port or a
+// merge selector decides which destinations fill and which port is
+// consumed), through source limits and through expected-output counts.  The
+// canonical snapshot plus the pending-wake mirror is therefore exactly the
+// state that determines the next window's timing *given its control
+// values*.  The jump bound N keeps every source and every expected-output
+// count at least two windows away from its limit, and the replay is checked,
+// not trusted:
+//
+//   - it first replays the base window from the values captured at the base
+//     snapshot and must reproduce the live values at the recurrence;
+//   - in each skipped window every value written into a control slot must
+//     equal the base window's write at the same position, which by
+//     induction makes every skipped window's timing the base window's,
+//     shifted;
+//   - a mismatch or a ValueError in window w cuts the jump to w-1 windows
+//     (rolled back from a periodic replay checkpoint), so a control-pattern
+//     change, an interior division by zero or a divergent lane pack is then
+//     reached by the live event loop exactly as EventDriven reaches it.  A
+//     mismatch in the first window keeps the base, so a longer period can
+//     still be found.
+//
+// Replayed values are computed by the engine's own rules (exec::applyPure,
+// SingleEngine::sourceValue, gate/merge routing as fire() does it), so
+// outputs are identical by construction; SteadyLoop is used only where its
+// all-real proof makes its raw double loops the same expressions.
 //
 // The fast path is declined at run time (the event loop still runs, under
 // the Compiled label, with a diagnostic in MachineResult::compiled.reason)
@@ -44,7 +63,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -62,9 +83,9 @@ namespace {
 /// One shift-canonical machine snapshot plus the monotone counters needed to
 /// form per-window deltas.
 struct Snap {
-  bool valid = false;  ///< composite rings fully wrapped (see takeSnap)
   std::int64_t t = 0;
-  std::vector<std::int64_t> words;  ///< canonical state, compared verbatim
+  std::vector<std::int64_t> words;  ///< canonical timing state
+  std::vector<Value> control;       ///< full control slots' occupants
   std::vector<std::uint64_t> firings;
   std::uint64_t totalFirings = 0;
   exec::PacketCounters packets;
@@ -76,104 +97,255 @@ struct Snap {
   std::vector<std::int64_t> gSent, gAcked, gDelivered, gConsumed;
 };
 
+/// The value-only machine state the window replay runs over: no timing, no
+/// wheel, no acknowledges.
+struct Values {
+  /// Per operand slot: the last delivery, or the literal of a literal
+  /// operand (nothing delivers there), so every operand reads one array.
+  std::vector<Value> slot;
+  std::vector<std::vector<Value>> ring;  ///< per composite: ring storage
+  std::vector<std::uint32_t> head, count;
+  std::vector<std::int64_t> emitted;     ///< per cell: source position
+};
+
+/// One logged firing.  A composite FIFO also records its phase-A decision,
+/// since an activation may emit, accept, or both.
+struct Fired {
+  std::uint32_t cell;
+  bool emit, accept;
+};
+
+/// How the replay evaluates a cell's firing, decoded once per run.
+enum class Kind : std::uint8_t {
+  Source, Composite, Id, Pure, Merge, Output, Sink
+};
+
+/// Bitwise value identity (NaN-safe, unlike Value's operator==).
+bool same(const Value& a, const Value& b) {
+  if (a.isReal() && b.isReal()) {
+    const double x = a.asReal(), y = b.asReal();
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  }
+  if (!a.isPack() || !b.isPack()) return a == b;
+  if (a.laneWidth() != b.laneWidth()) return false;
+  for (std::size_t i = 0; i < a.laneWidth(); ++i)
+    if (!same(a.lane(i), b.lane(i))) return false;
+  return true;
+}
+
 class CompiledDriver {
  public:
   CompiledDriver(SingleEngine& e, const sched::SteadySchedule& ss)
       : e_(e), ss_(ss) {
     const std::int64_t period = e_.fifoTiming().period();
-    // Below this floor every timestamp is behaviorally dead: no enabling
-    // test, rate bound, or ring acknowledge-wave check reaches further back.
+    // Below this floor the last firing time no longer moves the quiescence
+    // deadline.
     horizon_ = e_.settleWindow() + e_.wakeHorizon() +
                (e_.eg.maxFifoDepth() + 2) * period + 4;
-    // Arm after the fill transient: the deepest pipeline (or FIFO ring) has
-    // loaded and every composite ring has wrapped by then.
+    // Arm after the fill transient: once every Output cell has fired the
+    // pipe is loaded end to end, and by this time bound the deepest pipeline
+    // (or FIFO ring) has loaded in any case.  Arming is only a heuristic —
+    // recurs() is the proof — so it may be early but should not be late.
     arm_ = (e_.eg.maxFifoDepth() + 2) * period + e_.wakeHorizon() +
            e_.settleWindow();
     maxSpan_ = 16 * (period + e_.wakeHorizon()) + 64;
-    for (std::uint32_t c = 0; c < e_.eg.size(); ++c) {
+    firstSpan_ = span_ = 4 * period;
+    const std::size_t n = e_.eg.size();
+    compositeOf_.assign(n, 0);
+    outputOf_.assign(n, 0);
+    for (std::uint32_t c = 0; c < n; ++c) {
       const exec::Cell& cl = e_.eg.cell(c);
-      if (cl.op == dfg::Op::Fifo && cl.fifoDepth >= 2) composites_.push_back(c);
+      if (cl.op == dfg::Op::Fifo && cl.fifoDepth >= 2) {
+        compositeOf_[c] = static_cast<std::uint32_t>(composites_.size());
+        composites_.push_back(c);
+      }
       if (dfg::isSource(cl.op)) sources_.push_back(c);
-      if (cl.op == dfg::Op::Output) outputCells_.push_back(c);
+      if (cl.op == dfg::Op::Output) {
+        outputOf_[c] = static_cast<std::uint32_t>(outputCells_.size());
+        outputCells_.push_back(c);
+      }
+    }
+    isControl_.assign(e_.eg.slotCount(), 0);
+    for (std::uint32_t s : ss_.controlSlots) isControl_[s] = 1;
+    kind_.resize(n);
+    feedsControl_.assign(n, 0);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      const exec::Cell& cl = e_.eg.cell(c);
+      kind_[c] = SingleEngine::isComposite(cl) ? Kind::Composite
+                 : dfg::isSource(cl.op)        ? Kind::Source
+                 : cl.op == dfg::Op::Merge     ? Kind::Merge
+                 : cl.op == dfg::Op::Output    ? Kind::Output
+                 : cl.op == dfg::Op::Sink      ? Kind::Sink
+                 : cl.op == dfg::Op::Id || cl.op == dfg::Op::Fifo ? Kind::Id
+                                                                  : Kind::Pure;
+      for (const exec::Dest& d : e_.eg.allDests(cl))
+        feedsControl_[c] = feedsControl_[c] || isControl_[d.slot];
     }
   }
 
   /// The wake log SingleEngine appends to; drained into the pending mirror
-  /// at the start of every step.
+  /// at every step.
   std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeBuf = nullptr;
 
-  void afterStep() {
-    for (const auto& [cell, at] : *wakeBuf)
-      if (at > e_.now) pending_.insert({at, cell});
-    wakeBuf->clear();
-    while (!pending_.empty() && pending_.begin()->first <= e_.now)
-      pending_.erase(pending_.begin());
-
-    if (done_ || e_.now < arm_) return;
+  void afterStep(const std::vector<std::uint32_t>& toFire) {
+    if (done_) return;
+    mirrorWakes();
+    // A composite FIFO may wake itself at or before the time it just fired
+    // at; the loop then re-examines that earlier time, finds the FIFO busy
+    // and fires nothing.  Only real instruction-time boundaries count.
+    if (e_.now <= lastStep_) return;
+    lastStep_ = e_.now;
+    if (!armed()) return;
     if (!haveBase_) {
       takeSnap(base_);
-      haveBase_ = base_.valid;
+      setBase();
       return;
     }
+    for (std::uint32_t c : toFire) {
+      const exec::FifoState& f = e_.fifoDyn[c];
+      const bool composite = SingleEngine::isComposite(e_.eg.cell(c));
+      log_.push_back({c, composite && f.doEmit, composite && f.doAccept});
+    }
     takeSnap(cur_);
-    if (cur_.valid && cur_.words == base_.words &&
-        cur_.totalFirings > base_.totalFirings) {
+    if (recurs()) {
       tryJump();
       return;
     }
-    if (e_.now - base_.t > maxSpan_) {
+    if (e_.now - base_.t > span_) {
       // The window since the base never recurred: rebase and retry, giving
       // up after enough attempts that the run is clearly not periodic at
       // any phase we would catch (jitter-free runs recur within one span).
+      // The span starts at a few periods, so a base taken while the pipe
+      // was still filling is soon replaced, and doubles up to maxSpan_ for
+      // longer periods.
       if (++attempts_ >= kMaxAttempts) {
-        done_ = true;
-        if (e_.result.compiled.reason.empty())
-          e_.result.compiled.reason = "no steady period detected";
+        giveUp("no steady period detected");
         return;
       }
-      base_ = cur_;
-      haveBase_ = cur_.valid;
+      span_ = std::min(2 * span_, maxSpan_);
+      std::swap(base_, cur_);
+      setBase();
     }
   }
 
  private:
   static constexpr int kMaxAttempts = 16;
+  /// Skipped windows between replay checkpoints: a cut window rolls back to
+  /// the last checkpoint and replays forward at most this many windows.
+  static constexpr std::int64_t kCheckpointEvery = 32;
+
+  bool armed() {
+    if (armed_) return true;
+    armed_ = e_.now >= arm_ ||
+             std::all_of(outputCells_.begin(), outputCells_.end(),
+                         [&](std::uint32_t o) { return e_.firings[o] > 0; });
+    return armed_;
+  }
+
+  /// Folds the wakes logged since the last step into pending_ (sorted by
+  /// time then cell, deduplicated — exactly the granularity at which the
+  /// wheel's content is observable, since push-side and pop-side dedupe
+  /// make duplicates invisible) and drops the wakes already due.
+  void mirrorWakes() {
+    fresh_.clear();
+    for (const auto& [cell, at] : *wakeBuf)
+      if (at > e_.now) fresh_.emplace_back(at, cell);
+    wakeBuf->clear();
+    const auto due = std::upper_bound(
+        pending_.begin(), pending_.end(),
+        std::pair<std::int64_t, std::uint32_t>(e_.now, UINT32_MAX));
+    pending_.erase(pending_.begin(), due);
+    if (fresh_.empty()) return;
+    std::sort(fresh_.begin(), fresh_.end());
+    const std::size_t old = pending_.size();
+    pending_.insert(pending_.end(), fresh_.begin(), fresh_.end());
+    std::inplace_merge(pending_.begin(),
+                       pending_.begin() + static_cast<std::ptrdiff_t>(old),
+                       pending_.end());
+    pending_.erase(std::unique(pending_.begin(), pending_.end()),
+                   pending_.end());
+  }
+
+  /// Stops looking for periods for the rest of the run and detaches the wake
+  /// mirror, so the remaining steps cost what EventDriven's do.
+  void giveUp(const char* why) {
+    done_ = true;
+    e_.wakeLog = nullptr;
+    if (e_.result.compiled.reason.empty()) e_.result.compiled.reason = why;
+  }
+
+  /// base_ was just taken at this step: capture the values the replay of the
+  /// window starting here begins from.
+  void setBase() {
+    haveBase_ = true;
+    log_.clear();
+    captureValues(baseValues_);
+  }
+
+  void captureValues(Values& v) const {
+    const std::size_t slots = e_.eg.slotCount();
+    v.slot.resize(slots);
+    for (std::uint32_t s = 0; s < slots; ++s) {
+      const exec::Operand& o = e_.eg.operandAt(s);
+      v.slot[s] = o.isLiteral() ? o.literal : e_.slots[s].v;
+    }
+    v.ring.resize(composites_.size());
+    v.head.resize(composites_.size());
+    v.count.resize(composites_.size());
+    for (std::size_t ci = 0; ci < composites_.size(); ++ci) {
+      const exec::FifoState& f = e_.fifoDyn[composites_[ci]];
+      v.ring[ci] = f.vals;
+      v.head[ci] = f.head;
+      v.count[ci] = f.count;
+    }
+    v.emitted.resize(e_.eg.size());
+    for (std::uint32_t c = 0; c < e_.eg.size(); ++c)
+      v.emitted[c] = e_.cellDyn[c].emitted;
+  }
 
   void canonWords(std::vector<std::int64_t>& w) const {
     w.clear();
     const std::int64_t now = e_.now;
-    const std::int64_t floor = -horizon_;
-    const auto canon = [&](std::int64_t tau) {
+    // Each timestamp relative to `now`, floored where it stops mattering:
+    // below the floor every value behaves alike, so a timestamp written
+    // once, early (a boundary path, an idle ring), does not hold a
+    // recurrence back.  Slot readyAt/freedAt, busyUntil and ring readyAt
+    // are only compared with the current time (floor 0); a ring's last
+    // accept/emit bound the next by one period; an emit time bounds an
+    // accept by the acknowledge wave across the ring.
+    const auto canon = [now](std::int64_t tau, std::int64_t floor) {
       return std::max(tau - now, floor);
     };
     for (std::uint32_t s = 0;
          s < static_cast<std::uint32_t>(e_.eg.slotCount()); ++s) {
       const exec::Slot& sl = e_.slots[s];
       w.push_back(sl.full ? 1 : 0);
-      w.push_back(canon(sl.readyAt));
-      w.push_back(canon(sl.freedAt));
+      w.push_back(canon(sl.readyAt, 0));
+      w.push_back(canon(sl.freedAt, 0));
     }
     for (std::uint32_t c = 0; c < e_.eg.size(); ++c)
-      w.push_back(canon(e_.cellDyn[c].busyUntil));
-    w.push_back(canon(e_.lastFire_));
+      w.push_back(canon(e_.cellDyn[c].busyUntil, 0));
+    w.push_back(canon(e_.lastFire_, -horizon_));
+    const exec::FifoTiming t = e_.fifoTiming();
     for (std::uint32_t c : composites_) {
       const exec::FifoState& f = e_.fifoDyn[c];
       const auto ring = static_cast<std::uint32_t>(f.ring());
       w.push_back(f.count);
       w.push_back(f.accepted >= f.ring() ? 1 : 0);
       w.push_back(f.emitted >= f.ring() ? 1 : 0);
-      w.push_back(canon(f.lastAccept));
-      w.push_back(canon(f.lastEmit));
+      w.push_back(canon(f.lastAccept, -t.period()));
+      w.push_back(canon(f.lastEmit, -t.period()));
       // Live ring entries, head-relative (head tracks emitted mod ring, so
       // relative positions align across snapshots); dead entries are stale
       // storage the firing rule never reads.
       for (std::uint32_t i = 0; i < f.count; ++i)
-        w.push_back(canon(f.readyAt[(f.head + i) % ring]));
+        w.push_back(canon(f.readyAt[(f.head + i) % ring], 0));
       // Emit times, aligned relative to the next accept (canAccept reads
       // emitAt[accepted % ring] for the backward acknowledge wave).
       for (std::uint32_t i = 0; i < ring; ++i)
         w.push_back(canon(f.emitAt[static_cast<std::size_t>(
-            (f.accepted + i) % f.ring())]));
+                              (f.accepted + i) % f.ring())],
+                          -f.ring() * t.ackDelay));
     }
     // The pending-wake mirror is part of the state that drives the future:
     // two snapshots only recur if the wheel holds the same future, shifted.
@@ -186,16 +358,15 @@ class CompiledDriver {
 
   void takeSnap(Snap& s) const {
     const std::size_t n = e_.eg.size();
-    // A jump shifts ring contents by whole windows; every emitAt entry must
-    // therefore hold a real emit time (the ring has wrapped), or the shifted
-    // entry would be unreconstructable.
-    s.valid = true;
-    for (std::uint32_t c : composites_) {
-      const exec::FifoState& f = e_.fifoDyn[c];
-      if (f.accepted < f.ring() || f.emitted < f.ring()) s.valid = false;
-    }
     s.t = e_.now;
     canonWords(s.words);
+    // Enabling and routing read the values in control slots; an empty slot
+    // records a placeholder (its `full` word already differs).
+    s.control.resize(ss_.controlSlots.size());
+    for (std::size_t i = 0; i < ss_.controlSlots.size(); ++i) {
+      const exec::Slot& sl = e_.slots[ss_.controlSlots[i]];
+      s.control[i] = sl.full ? sl.v : Value();
+    }
     s.firings = e_.firings;
     s.totalFirings = e_.totalFirings;
     s.packets = e_.packets;
@@ -218,6 +389,196 @@ class CompiledDriver {
       s.gConsumed = e_.gst->consumed;
     }
   }
+
+  /// cur_ repeats base_: same canonical state and control occupants, a
+  /// firing in between, and every composite ring either wrapped (each
+  /// emitAt entry holds a real emit time, so a rotated entry is
+  /// reconstructable) or idle across the window (a jump leaves it in place).
+  bool recurs() const {
+    if (cur_.totalFirings <= base_.totalFirings || cur_.words != base_.words)
+      return false;
+    for (std::size_t i = 0; i < cur_.control.size(); ++i)
+      if (!same(cur_.control[i], base_.control[i])) return false;
+    for (std::size_t ci = 0; ci < composites_.size(); ++ci) {
+      const std::int64_t ring = e_.fifoDyn[composites_[ci]].ring();
+      const bool wrapped =
+          base_.fifoAccepted[ci] >= ring && base_.fifoEmitted[ci] >= ring;
+      const bool idle = cur_.fifoAccepted[ci] == base_.fifoAccepted[ci] &&
+                        cur_.fifoEmitted[ci] == base_.fifoEmitted[ci];
+      if (!wrapped && !idle) return false;
+    }
+    return true;
+  }
+
+  // --- window replay --------------------------------------------------------
+
+  /// Replays the logged window once over `v`, computing every value the way
+  /// fire() does.  Output appends go to out[outputOf_[cell]].  With `record`
+  /// every control-slot write is logged; otherwise each must equal the
+  /// logged write at the same position, and the first that differs stops
+  /// the replay with false.  Throws ValueError where fire() would.
+  bool replayWindow(Values& v, bool record,
+                    std::vector<std::vector<Value>>& out) {
+    const exec::ExecutableGraph& eg = e_.eg;
+    std::size_t pos = 0;
+    bool ok = true;
+    // Control writes of the cell just fired (feedsControl_ cells only).
+    const auto checkControl = [&](exec::DestSpan ds) {
+      for (const exec::Dest& d : ds) {
+        if (!isControl_[d.slot]) continue;
+        const Value& x = v.slot[d.slot];
+        if (record) ctlWrites_.push_back(x);
+        else if (pos >= ctlWrites_.size() || !same(ctlWrites_[pos++], x))
+          ok = false;
+      }
+    };
+    const auto put = [&](exec::DestSpan ds, const Value& x) {
+      for (const exec::Dest& d : ds) v.slot[d.slot] = x;
+    };
+    for (const Fired& f : log_) {
+      const exec::Cell& cl = eg.cell(f.cell);
+      const Value* in = v.slot.data() + cl.firstPort;
+      const exec::DestSpan always = eg.alwaysDests(cl);
+      exec::DestSpan tagged;
+      switch (kind_[f.cell]) {
+        case Kind::Composite: {
+          const std::uint32_t ci = compositeOf_[f.cell];
+          std::vector<Value>& ring = v.ring[ci];
+          const auto len = static_cast<std::uint32_t>(ring.size());
+          std::uint32_t& head = v.head[ci];
+          std::uint32_t& count = v.count[ci];
+          if (f.emit) {
+            put(always, ring[head]);
+            if (++head == len) head = 0;
+            --count;
+          }
+          if (f.accept) {
+            std::uint32_t at = head + count;
+            if (at >= len) at -= len;
+            ring[at] = in[0];
+            ++count;
+          }
+          break;
+        }
+        case Kind::Source:
+          put(always, e_.sourceValue(f.cell, cl, v.emitted[f.cell]++));
+          break;
+        case Kind::Id:
+        case Kind::Pure:
+        case Kind::Merge: {
+          const bool gate = cl.hasGate && in[cl.numPorts].asBoolean();
+          if (cl.hasGate) tagged = eg.taggedDests(cl, gate);
+          if (kind_[f.cell] == Kind::Pure) {
+            const Value x = exec::applyPure(
+                cl.op, [in](int p) -> const Value& { return in[p]; });
+            put(always, x);
+            put(tagged, x);
+            break;
+          }
+          // Id and Merge pass an operand through: copy it straight from its
+          // slot (no destination is one of this cell's own ports).
+          const Value& x =
+              kind_[f.cell] == Kind::Id ? in[0] : in[in[0].asBoolean() ? 1 : 2];
+          put(always, x);
+          put(tagged, x);
+          break;
+        }
+        case Kind::Output:
+          if (cl.hasGate) (void)in[cl.numPorts].asBoolean();
+          out[outputOf_[f.cell]].push_back(in[0]);
+          break;
+        case Kind::Sink:
+          if (cl.hasGate) (void)in[cl.numPorts].asBoolean();
+          break;
+      }
+      if (feedsControl_[f.cell]) {
+        checkControl(always);
+        checkControl(tagged);
+        if (!ok) return false;
+      }
+    }
+    return record || pos == ctlWrites_.size();
+  }
+
+  /// The replay reproduced the live machine at the recurrence: every slot
+  /// occupant, ring, source position and output appended in the window.
+  bool reproducesLive(const Values& v,
+                      const std::vector<std::vector<Value>>& out) const {
+    for (std::uint32_t s = 0; s < v.slot.size(); ++s)
+      if (!e_.eg.operandAt(s).isLiteral() && !same(v.slot[s], e_.slots[s].v))
+        return false;
+    for (std::size_t ci = 0; ci < composites_.size(); ++ci) {
+      const exec::FifoState& f = e_.fifoDyn[composites_[ci]];
+      if (v.head[ci] != f.head || v.count[ci] != f.count) return false;
+      for (std::size_t i = 0; i < f.vals.size(); ++i)
+        if (!same(v.ring[ci][i], f.vals[i])) return false;
+    }
+    for (std::uint32_t c : sources_)
+      if (v.emitted[c] != e_.cellDyn[c].emitted) return false;
+    for (std::size_t oi = 0; oi < outputCells_.size(); ++oi) {
+      const std::uint32_t o = outputCells_[oi];
+      if (out[oi].size() != cur_.firings[o] - base_.firings[o]) return false;
+      if (out[oi].empty()) continue;
+      const std::vector<Value>& live =
+          e_.outputs.at(e_.eg.streamName(e_.eg.cell(o)));
+      const auto first = static_cast<std::size_t>(base_.firings[o]);
+      for (std::size_t i = 0; i < out[oi].size(); ++i)
+        if (!same(out[oi][i], live[first + i])) return false;
+    }
+    return true;
+  }
+
+  /// Replays up to `nWin` skipped windows into replayed_ / replayedOut_ and
+  /// returns how many were verified: -1 when the base window does not
+  /// reproduce the live values, 0 when the first skipped window already
+  /// departs from the base window's control.
+  std::int64_t replay(std::int64_t nWin) {
+    const std::size_t outs = outputCells_.size();
+    Values& v = replayed_;
+    v = baseValues_;
+    std::vector<std::vector<Value>> baseOut(outs);
+    ctlWrites_.clear();
+    try {
+      replayWindow(v, /*record=*/true, baseOut);
+    } catch (const ValueError&) {
+      return -1;  // the live window evaluated these very firings
+    }
+    if (!reproducesLive(v, baseOut)) return -1;
+
+    replayedOut_.assign(outs, {});
+    Values checkpoint = v;
+    std::int64_t checkpointAt = 0;
+    std::int64_t good = 0;
+    for (std::int64_t w = 1; w <= nWin; ++w) {
+      if ((w - 1) % kCheckpointEvery == 0 && w > 1) {
+        checkpoint = v;
+        checkpointAt = w - 1;
+      }
+      bool ok = false;
+      try {
+        ok = replayWindow(v, /*record=*/false, replayedOut_);
+      } catch (const ValueError&) {
+        ok = false;
+      }
+      if (!ok) break;
+      good = w;
+    }
+    if (good == nWin || good == 0) return good;
+    // Window good+1 departed: roll back to the checkpoint and replay the
+    // verified windows after it again.
+    v = std::move(checkpoint);
+    for (std::size_t oi = 0; oi < outs; ++oi) {
+      const std::uint32_t o = outputCells_[oi];
+      replayedOut_[oi].resize(static_cast<std::size_t>(
+          checkpointAt * static_cast<std::int64_t>(cur_.firings[o] -
+                                                   base_.firings[o])));
+    }
+    for (std::int64_t w = checkpointAt + 1; w <= good; ++w)
+      replayWindow(v, /*record=*/false, replayedOut_);
+    return good;
+  }
+
+  // --- the jump -------------------------------------------------------------
 
   void tryJump() {
     const std::int64_t delta = cur_.t - base_.t;  // measured period
@@ -253,31 +614,42 @@ class CompiledDriver {
       nWin = std::min(nWin, (e_.stop.want(i) - e_.stop.have(i)) / dH - 2);
     }
     if (nWin < 2) {
-      done_ = true;
-      if (e_.result.compiled.reason.empty())
-        e_.result.compiled.reason =
-            "steady state reached with fewer than two periods remaining";
+      giveUp("steady state reached with fewer than two periods remaining");
       return;
     }
-    const std::int64_t K = nWin * delta;
 
     // --- reconstruct every value the skipped windows produce --------------
-    sched::SteadyLoop loop(e_.eg, ss_);
+    std::optional<sched::SteadyLoop> loop;
+    if (ss_.path == sched::ValuePath::SteadyLoop) {
+      loop.emplace(e_.eg, ss_);
+      requestLoop(*loop, nWin, dF);
+      if (!loop->compute()) loop.reset();
+    }
+    if (!loop) {
+      nWin = replay(nWin);
+      if (nWin < 0) {
+        giveUp("window replay did not reproduce the live steady window");
+        return;
+      }
+      if (nWin == 0) return;  // keep the base: a longer period may recur
+    }
+    apply(nWin, delta, dF, dTotal, loop ? &*loop : nullptr);
+  }
+
+  void requestLoop(sched::SteadyLoop& loop, std::int64_t nWin,
+                   const std::vector<std::int64_t>& dF) const {
     for (std::uint32_t c : sources_)
       if (e_.eg.cell(c).op == dfg::Op::Input)
         loop.bindSource(c, e_.sourceData[c]);
-    for (std::uint32_t c = 0; c < n; ++c) {
+    for (std::uint32_t c = 0; c < e_.eg.size(); ++c) {
       if (dF[c] <= 0) continue;
       const exec::Cell& cl = e_.eg.cell(c);
-      // Every skipped firing that evaluates anything is evaluated here, so a
-      // ValueError the real run would hit in the window is hit here too.
+      const auto first = static_cast<std::int64_t>(cur_.firings[c]);
       if (dfg::producesResult(cl.op) || dfg::isSource(cl.op))
-        loop.request(c, static_cast<std::int64_t>(cur_.firings[c]),
-                     static_cast<std::int64_t>(cur_.firings[c]) + nWin * dF[c]);
+        loop.request(c, first, first + nWin * dF[c]);
       if (cl.op == dfg::Op::Output && !e_.eg.operand(cl, 0).isLiteral())
-        loop.request(e_.eg.operand(cl, 0).producer,
-                     static_cast<std::int64_t>(cur_.firings[c]),
-                     static_cast<std::int64_t>(cur_.firings[c]) + nWin * dF[c]);
+        loop.request(e_.eg.operand(cl, 0).producer, first,
+                     first + nWin * dF[c]);
     }
     for (std::size_t ci = 0; ci < composites_.size(); ++ci) {
       // Post-jump ring contents: the composite's tokens [emitted', accepted')
@@ -289,9 +661,15 @@ class CompiledDriver {
       loop.request(c, f.emitted + nWin * dE,
                    f.emitted + nWin * dE + static_cast<std::int64_t>(f.count));
     }
-    loop.compute();
+  }
 
-    // --- apply the jump ---------------------------------------------------
+  /// Advances the machine by nWin windows: counters and timestamps in bulk,
+  /// values from `loop` when given, else from the replay.
+  void apply(std::int64_t nWin, std::int64_t delta,
+             const std::vector<std::int64_t>& dF, std::int64_t dTotal,
+             const sched::SteadyLoop* loop) {
+    const std::size_t n = e_.eg.size();
+    const std::int64_t K = nWin * delta;
     const std::int64_t tNew = cur_.t + K;
 
     for (std::uint32_t c = 0; c < n; ++c)
@@ -326,14 +704,19 @@ class CompiledDriver {
          s < static_cast<std::uint32_t>(e_.eg.slotCount()); ++s) {
       // Uniform shift: live timestamps land exactly where the replayed run
       // puts them; dead ones (<= t1) stay in the dead past (<= t1 + K).
-      e_.slots[s].readyAt += K;
-      e_.slots[s].freedAt += K;
-      if (!e_.slots[s].full) continue;
+      exec::Slot& sl = e_.slots[s];
+      sl.readyAt += K;
+      sl.freedAt += K;
       const exec::Operand& o = e_.eg.operandAt(s);
-      if (o.producer == exec::kNoProducer || dF[o.producer] <= 0) continue;
+      if (o.isLiteral()) continue;
+      if (!loop) {
+        sl.v = std::move(replayed_.slot[s]);
+        continue;
+      }
+      if (!sl.full || dF[o.producer] <= 0) continue;
       // Capacity-1 in-order delivery: the occupant is always the producer's
       // latest token.
-      e_.slots[s].v = loop.value(
+      sl.v = loop->value(
           o.producer, static_cast<std::int64_t>(e_.firings[o.producer]) - 1);
     }
 
@@ -362,11 +745,19 @@ class CompiledDriver {
       f.emitted += nWin * dE;
       f.lastAccept += K;
       f.lastEmit += K;
-      for (std::uint32_t i = 0; i < f.count; ++i)
-        f.vals[(f.head + i) % ring] = loop.value(c, f.emitted + i);
+      if (!loop) {
+        VALPIPE_CHECK_MSG(replayed_.head[ci] == f.head &&
+                              replayed_.count[ci] == f.count,
+                          "window replay lost track of a composite ring");
+        f.vals = std::move(replayed_.ring[ci]);
+      } else if (dE > 0) {
+        for (std::uint32_t i = 0; i < f.count; ++i)
+          f.vals[(f.head + i) % ring] = loop->value(c, f.emitted + i);
+      }
     }
 
-    for (std::uint32_t o : outputCells_) {
+    for (std::size_t oi = 0; oi < outputCells_.size(); ++oi) {
+      const std::uint32_t o = outputCells_[oi];
       if (dF[o] <= 0) continue;
       const exec::Cell& cl = e_.eg.cell(o);
       const std::string& name = e_.eg.streamName(cl);
@@ -377,26 +768,29 @@ class CompiledDriver {
       const std::vector<std::int64_t> winTimes(
           times.begin() + static_cast<std::ptrdiff_t>(base_.firings[o]),
           times.begin() + static_cast<std::ptrdiff_t>(cur_.firings[o]));
-      const exec::Operand& in0 = e_.eg.operand(cl, 0);
-      const std::int64_t first = static_cast<std::int64_t>(cur_.firings[o]);
       const std::int64_t total = nWin * dF[o];
-      vals.reserve(vals.size() + static_cast<std::size_t>(total));
       times.reserve(times.size() + static_cast<std::size_t>(total));
-      // The appended tokens are contiguous in the producer's index space;
-      // read the vectorized block directly when the loop took the fast path.
-      const double* blk = in0.isLiteral()
-                              ? nullptr
-                              : loop.realBlock(in0.producer, first);
-      for (std::int64_t w = 1; w <= nWin; ++w) {
-        const std::int64_t k0 = first + (w - 1) * dF[o];
-        for (std::int64_t m = 0; m < dF[o]; ++m) {
-          if (in0.isLiteral()) vals.push_back(in0.literal);
-          else if (blk) vals.emplace_back(blk[k0 - first + m]);
-          else vals.push_back(loop.value(in0.producer, k0 + m));
+      for (std::int64_t w = 1; w <= nWin; ++w)
+        for (std::int64_t m = 0; m < dF[o]; ++m)
           times.push_back(winTimes[static_cast<std::size_t>(m)] + w * delta);
-        }
-      }
       e_.stop.advance(e_.stopSlotOf[o], total);
+      if (!loop) {
+        vals.insert(vals.end(),
+                    std::make_move_iterator(replayedOut_[oi].begin()),
+                    std::make_move_iterator(replayedOut_[oi].end()));
+        continue;
+      }
+      const exec::Operand& in0 = e_.eg.operand(cl, 0);
+      const auto first = static_cast<std::int64_t>(cur_.firings[o]);
+      vals.reserve(vals.size() + static_cast<std::size_t>(total));
+      // The appended tokens are contiguous in the producer's index space;
+      // read the loop's block directly.
+      if (in0.isLiteral()) {
+        vals.insert(vals.end(), static_cast<std::size_t>(total), in0.literal);
+      } else {
+        const double* blk = loop->realBlock(in0.producer, first);
+        vals.insert(vals.end(), blk, blk + total);
+      }
     }
 
     if (e_.gst) {
@@ -414,16 +808,15 @@ class CompiledDriver {
     // (tNew, tNew + horizon] — nothing lands at tNew itself (a wake at the
     // current time would examine cells one step early) and nothing aliases.
     e_.rq->clear();
-    std::set<std::pair<std::int64_t, std::uint32_t>> shifted;
-    for (const auto& [at, cell] : pending_) {
-      e_.rq->wake(cell, at + K);
-      shifted.insert({at + K, cell});
+    for (auto& [at, cell] : pending_) {
+      at += K;
+      e_.rq->wake(cell, at);
     }
-    pending_.swap(shifted);
 
     e_.lastFire_ += K;  // exact: the window contained a firing, so the
                         // replayed trajectory's last firing shifts by K
     e_.now = tNew;
+    lastStep_ = tNew;
     if (e_.gst) {
       e_.grd.onCompiledCheckpoint(e_.now);
       for (std::uint32_t c : composites_) {
@@ -436,15 +829,17 @@ class CompiledDriver {
     auto& info = e_.result.compiled;
     info.fastForwarded = true;
     info.detectedPeriod = delta;
+    ++info.jumps;
     info.windowsSkipped += nWin;
     info.cyclesSkipped += K;
     info.firingsSkipped += static_cast<std::uint64_t>(nWin * dTotal);
-    info.vectorized = info.vectorized || loop.vectorized();
+    (loop ? info.vectorized : info.replayed) = true;
 
     // Re-arm: the remaining run may admit another (small) jump, and the
     // detector is cheap once the state is already periodic.
     haveBase_ = false;
     attempts_ = 0;
+    span_ = firstSpan_;
   }
 
   SingleEngine& e_;
@@ -452,17 +847,29 @@ class CompiledDriver {
   std::vector<std::uint32_t> composites_;
   std::vector<std::uint32_t> sources_;
   std::vector<std::uint32_t> outputCells_;
-  /// Mirror of the wheel's future content: (wake time, cell), deduplicated —
-  /// exactly the granularity at which the wheel's content is observable
-  /// (push-side and pop-side dedupe make duplicates invisible).
-  std::set<std::pair<std::int64_t, std::uint32_t>> pending_;
+  std::vector<std::uint32_t> compositeOf_;  ///< per cell: composites_ index
+  std::vector<std::uint32_t> outputOf_;     ///< per cell: outputCells_ index
+  std::vector<char> isControl_;             ///< per slot: a control port
+  std::vector<Kind> kind_;                  ///< per cell
+  std::vector<char> feedsControl_;          ///< per cell: a dest is control
+  /// Mirror of the wheel's future content: (wake time, cell), see
+  /// mirrorWakes().
+  std::vector<std::pair<std::int64_t, std::uint32_t>> pending_, fresh_;
+  std::int64_t lastStep_ = -1;  ///< last real instruction time processed
   std::int64_t horizon_ = 0;
   std::int64_t arm_ = 0;
   std::int64_t maxSpan_ = 0;
+  std::int64_t firstSpan_ = 0, span_ = 0;  ///< current rebase span
   int attempts_ = 0;
+  bool armed_ = false;
   bool haveBase_ = false;
   bool done_ = false;
   Snap base_, cur_;
+  std::vector<Fired> log_;   ///< firings since the base snapshot, in order
+  Values baseValues_;        ///< values at the base snapshot
+  std::vector<Value> ctlWrites_;  ///< the base window's control writes
+  Values replayed_;          ///< values at the jump target
+  std::vector<std::vector<Value>> replayedOut_;  ///< per output cell
 };
 
 }  // namespace
@@ -522,7 +929,9 @@ void runCompiled(SingleEngine& e) {
   drv.wakeBuf = &buf;
   e.wakeLog = &buf;
   e.runEventLoop(
-      [&drv](const std::vector<std::uint32_t>&) { drv.afterStep(); });
+      [&drv](const std::vector<std::uint32_t>& toFire) {
+        drv.afterStep(toFire);
+      });
   e.wakeLog = nullptr;
 }
 

@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace valpipe::sched {
@@ -8,14 +9,14 @@ namespace valpipe::sched {
 const char* declineName(Decline d) {
   switch (d) {
     case Decline::None: return "accepted";
-    case Decline::Gate: return "gated-delivery";
-    case Decline::Merge: return "data-dependent-merge";
     case Decline::ArrayMemory: return "array-memory";
-    case Decline::Feedback: return "feedback-cycle";
-    case Decline::InitialToken: return "initial-token";
-    case Decline::Unbalanced: return "unbalanced";
+    case Decline::DataDependentControl: return "data-dependent-control";
   }
   return "?";
+}
+
+const char* valuePathName(ValuePath p) {
+  return p == ValuePath::SteadyLoop ? "steady-loop" : "replay";
 }
 
 namespace {
@@ -36,31 +37,96 @@ std::string cellName(const exec::ExecutableGraph& eg, std::uint32_t c) {
   return os.str();
 }
 
+/// Calls f(port, name) for each control port of `cell`: its gate, and the
+/// selector of a Merge.
+template <class F>
+void forControlPorts(const exec::Cell& cell, F&& f) {
+  if (cell.hasGate) f(exec::kGatePort, "gate");
+  if (cell.op == dfg::Op::Merge) f(0, "selector");
+}
+
+/// Why a graph with compile-time control still cannot use the straight-line
+/// value loop ("" when it can).
+std::string replayReason(const exec::ExecutableGraph& eg) {
+  for (std::uint32_t c = 0; c < eg.size(); ++c) {
+    const exec::Cell& cell = eg.cell(c);
+    if (cell.hasGate || cell.alwaysEnd != cell.destEnd)
+      return cellName(eg, c) + " routes results by a compile-time gate";
+    if (cell.op == dfg::Op::Merge)
+      return cellName(eg, c) + " merges by a compile-time selector";
+    for (int p = 0; p < cell.numPorts; ++p)
+      if (eg.operand(cell, p).hasInitial)
+        return cellName(eg, c) +
+               " carries a load-time token (feedback bootstrap)";
+  }
+  return "";
+}
+
 }  // namespace
 
 SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
   const auto n = static_cast<std::uint32_t>(eg.size());
 
-  // --- structural acceptance: the firing pattern must be data-independent.
   for (std::uint32_t c = 0; c < n; ++c) {
-    const exec::Cell& cell = eg.cell(c);
-    if (cell.hasGate || cell.alwaysEnd != cell.destEnd)
-      return declined(Decline::Gate,
-                      cellName(eg, c) + " routes results by a runtime gate");
-    if (cell.op == dfg::Op::Merge)
-      return declined(Decline::Merge,
-                      cellName(eg, c) +
-                          " consumes operands by a runtime merge control");
-    if (cell.op == dfg::Op::AmStore || cell.op == dfg::Op::AmFetch)
+    const dfg::Op op = eg.cell(c).op;
+    if (op == dfg::Op::AmStore || op == dfg::Op::AmFetch)
       return declined(Decline::ArrayMemory,
                       cellName(eg, c) +
                           " has data-dependent array-memory availability");
-    for (int p = 0; p < cell.numPorts; ++p)
-      if (eg.operand(cell, p).hasInitial)
-        return declined(Decline::InitialToken,
-                        cellName(eg, c) +
-                            " carries a load-time token (feedback bootstrap)");
   }
+
+  // --- control sources: walk each control port's backward operand cone
+  // (gate ports included); a cone that reaches an Input routes by the data.
+  // A cell walked for an earlier port reached no Input, so the walks share
+  // one visited set and cover the union of the cones once.
+  std::vector<char> seen(n, 0);
+  std::vector<std::uint32_t> work;
+  std::vector<std::uint32_t> control;
+  std::string dataControl;
+  for (std::uint32_t c = 0; c < n && dataControl.empty(); ++c) {
+    const exec::Cell& cell = eg.cell(c);
+    forControlPorts(cell, [&](int port, const char* what) {
+      control.push_back(eg.slotOf(cell, port));
+      const exec::Operand& o = eg.operand(cell, port);
+      if (!dataControl.empty() || o.isLiteral() || seen[o.producer]) return;
+      seen[o.producer] = 1;
+      work.assign(1, o.producer);
+      while (!work.empty()) {
+        const std::uint32_t p = work.back();
+        work.pop_back();
+        const exec::Cell& pc = eg.cell(p);
+        if (pc.op == dfg::Op::Input) {
+          dataControl = cellName(eg, c) + " " + what + " depends on " +
+                        cellName(eg, p) + " (data-dependent control, §5)";
+          return;
+        }
+        const int ports = pc.numPorts + (pc.hasGate ? 1 : 0);
+        for (int q = 0; q < ports; ++q) {
+          const exec::Operand& in =
+              eg.operandAt(pc.firstPort + static_cast<std::uint32_t>(q));
+          if (!in.isLiteral() && !seen[in.producer]) {
+            seen[in.producer] = 1;
+            work.push_back(in.producer);
+          }
+        }
+      }
+    });
+  }
+  if (!dataControl.empty())
+    return declined(Decline::DataDependentControl, dataControl);
+
+  SteadySchedule s;
+  s.accepted = true;
+  const auto replay = [&](std::string why) {
+    SteadySchedule r;
+    r.accepted = true;
+    r.path = ValuePath::Replay;
+    r.detail = std::move(why);
+    r.controlSlots = std::move(control);
+    return r;
+  };
+  if (std::string why = replayReason(eg); !why.empty())
+    return replay(std::move(why));
 
   // --- topological order over operand arcs; a leftover cell is on a cycle.
   std::vector<std::uint32_t> indeg(n, 0);
@@ -69,8 +135,6 @@ SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
     for (int p = 0; p < cell.numPorts; ++p)
       if (!eg.operand(cell, p).isLiteral()) ++indeg[c];
   }
-  SteadySchedule s;
-  s.accepted = true;
   s.topo.reserve(n);
   for (std::uint32_t c = 0; c < n; ++c)
     if (indeg[c] == 0) s.topo.push_back(c);
@@ -83,9 +147,8 @@ SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
     std::uint32_t stuck = 0;
     for (std::uint32_t c = 0; c < n; ++c)
       if (indeg[c] != 0) { stuck = c; break; }
-    return declined(Decline::Feedback,
-                    cellName(eg, stuck) +
-                        " sits on a feedback cycle (rate k/S, §7)");
+    return replay(cellName(eg, stuck) +
+                  " sits on a feedback cycle (rate k/S, §7)");
   }
 
   // --- ASAP slots.  A producer's slot is the stage its result leaves from:
@@ -106,10 +169,9 @@ SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
       ready = std::max(ready, at);
     }
     if (!balanced)
-      return declined(Decline::Unbalanced,
-                      cellName(eg, c) +
-                          " reconverges operands at unequal depth (§8: "
-                          "insert FIFOs to balance)");
+      return replay(cellName(eg, c) +
+                    " reconverges operands at unequal depth (§8: insert "
+                    "FIFOs to balance)");
     const std::int64_t cost =
         cell.op == dfg::Op::Fifo && cell.fifoDepth >= 2 ? cell.fifoDepth : 1;
     s.slot[c] = ready < 0 ? (dfg::isSource(cell.op) ? 0 : cost) : ready + cost;
@@ -126,6 +188,41 @@ SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg) {
   return s;
 }
 
+namespace {
+
+/// The compile-time sources a control port's value is computed from:
+/// sequence generators and load-time tokens in its backward operand cone.
+std::string controlSources(const exec::ExecutableGraph& eg,
+                           const exec::Operand& o) {
+  if (o.isLiteral()) return "literal";
+  std::set<std::uint32_t> seen{o.producer};
+  std::vector<std::uint32_t> work{o.producer};
+  std::vector<std::string> found;
+  while (!work.empty()) {
+    const std::uint32_t c = work.back();
+    work.pop_back();
+    const exec::Cell& cell = eg.cell(c);
+    if (dfg::isSource(cell.op)) found.push_back(cellName(eg, c));
+    const int ports = cell.numPorts + (cell.hasGate ? 1 : 0);
+    bool token = false;
+    for (int p = 0; p < ports; ++p) {
+      const exec::Operand& in = eg.operandAt(cell.firstPort +
+                                             static_cast<std::uint32_t>(p));
+      token = token || in.hasInitial;
+      if (!in.isLiteral() && seen.insert(in.producer).second)
+        work.push_back(in.producer);
+    }
+    if (token) found.push_back("load-time token at " + cellName(eg, c));
+  }
+  if (found.empty()) return "literals";
+  std::sort(found.begin(), found.end());
+  std::string out;
+  for (const std::string& f : found) out += (out.empty() ? "" : ", ") + f;
+  return out;
+}
+
+}  // namespace
+
 std::string SteadySchedule::explain(const exec::ExecutableGraph& eg) const {
   std::ostringstream os;
   if (!accepted) {
@@ -134,7 +231,25 @@ std::string SteadySchedule::explain(const exec::ExecutableGraph& eg) const {
        << "  the compiled scheduler falls back to event-driven execution\n";
     return os.str();
   }
-  os << "steady schedule: accepted\n"
+  if (path == ValuePath::Replay) {
+    os << "steady schedule: accepted, replay (all control is compile-time)\n"
+       << "  " << detail << "\n"
+       << "  skipped windows replay the recorded steady window; every "
+          "control value is checked\n"
+       << "  control ports (" << controlSlots.size() << "):\n";
+    for (std::uint32_t c = 0; c < eg.size(); ++c) {
+      const exec::Cell& cell = eg.cell(c);
+      forControlPorts(cell, [&](int port, const char* what) {
+        const exec::Operand& o = eg.operand(cell, port);
+        os << "    " << cellName(eg, c) << " " << what << " <- "
+           << (o.isLiteral() ? "literal " + o.literal.str()
+                             : cellName(eg, o.producer))
+           << "; sources: " << controlSources(eg, o) << "\n";
+      });
+    }
+    return os.str();
+  }
+  os << "steady schedule: accepted, straight-line\n"
      << "  hyper-period: " << hyperPeriod
      << " instruction times (unit profile; 1 firing per cell per period)\n"
      << "  pipeline depth: " << depthMax << " stage"

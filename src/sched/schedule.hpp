@@ -23,16 +23,31 @@
 //                  evaluation order of the steady-state value loop
 //                  (sched/steady_loop.hpp).
 //
-// The IR is a *certificate*, not an oracle: SchedulerKind::Compiled only
-// attempts its steady-state fast path on accepted graphs, and the runtime
-// detector (machine/engine_compiled.cpp) independently verifies the machine
-// state really has become periodic before skipping ahead.  A graph is
-// declined — with a structured reason, so the engine can fall back to
-// EventDriven and valc --explain-schedule can say why — when its firing
-// pattern is not statically known: data-dependent routing (gates, merges),
-// feedback cycles or load-time tokens (for-iter schemes), array-memory
-// traffic, or unbalanced reconvergence (§8: an unbalanced graph throttles
-// below the maximum rate, so no single hyper-period describes it).
+// Acceptance is a property of where control comes from, not of which
+// opcodes appear.  The paper drives every gate and merge of a pipe-structured
+// program from compile-time boolean sequences (§5 selection, §6 boundary
+// merge, §7 loop control), so inside a wave the machine repeats one period.
+// A graph is accepted unless
+//
+//   - it has array-memory traffic (AmStore/AmFetch availability depends on
+//     the run), or
+//   - a control port — a gate port, or port 0 of a Merge — has a backward
+//     operand cone that reaches an Input: its routing then follows the data
+//     (§5's data-dependent conditional, fig5).
+//
+// Accepted graphs split by value path.  A straight-line graph (no gates,
+// merges, feedback, initial tokens or imbalance) gets the slot table above,
+// and the compiled scheduler reconstructs skipped values elementwise with
+// sched::SteadyLoop.  Every other accepted graph takes the replay path: the
+// scheduler records one steady window's firings and replays them, value by
+// value, for each window it skips (machine/engine_compiled.cpp); `detail`
+// names the construct that needs it and `controlSlots` lists the ports the
+// replay checks.
+//
+// The IR is a *certificate*, not an oracle: the runtime detector
+// independently verifies the machine state really has become periodic
+// before skipping ahead, and the replay checks every control value a jump
+// relies on.
 #pragma once
 
 #include <cstdint>
@@ -46,16 +61,20 @@ namespace valpipe::sched {
 
 /// Why a graph has no static steady schedule.
 enum class Decline : std::uint8_t {
-  None,         ///< accepted
-  Gate,         ///< gated delivery: destinations depend on runtime booleans
-  Merge,        ///< non-strict merge: consumption depends on runtime booleans
-  ArrayMemory,  ///< AmStore/AmFetch traffic has data-dependent availability
-  Feedback,     ///< feedback cycle (for-iter schemes): rate k/S, not 1/P
-  InitialToken, ///< load-time token (counter bootstrap) implies a cycle
-  Unbalanced,   ///< reconvergent operands at unequal depth (§8)
+  None,                  ///< accepted
+  ArrayMemory,           ///< AmStore/AmFetch availability is data-dependent
+  DataDependentControl,  ///< a gate or merge control is computed from input
 };
 
 const char* declineName(Decline d);
+
+/// How the compiled scheduler reconstructs the values of skipped windows.
+enum class ValuePath : std::uint8_t {
+  SteadyLoop,  ///< straight-line graph: elementwise in the token index
+  Replay,      ///< compile-time control: replay the recorded steady window
+};
+
+const char* valuePathName(ValuePath p);
 
 /// Thrown by the Compiled scheduler under CompiledFallback::Error.
 class ScheduleDeclined : public std::runtime_error {
@@ -72,7 +91,10 @@ class ScheduleDeclined : public std::runtime_error {
 struct SteadySchedule {
   bool accepted = false;
   Decline decline = Decline::None;
-  std::string detail;  ///< human-readable decline reason ("" when accepted)
+  ValuePath path = ValuePath::SteadyLoop;
+  /// Declined: the cell whose control reaches an input.  Replay: the
+  /// construct that rules out the straight-line loop.  "" otherwise.
+  std::string detail;
 
   /// Stage period under the unit timing profile: one result hop forward plus
   /// one acknowledge hop backward — the §3 maximum-repetition-rate bound of
@@ -81,19 +103,25 @@ struct SteadySchedule {
   std::int64_t hyperPeriod = 2;
   std::int64_t depthMax = 0;  ///< pipeline fill depth in stages
 
-  // Per-cell / per-operand-slot facts; empty when declined.
+  // Per-cell / per-operand-slot facts of the straight-line path; empty
+  // otherwise.
   std::vector<std::int64_t> slot;       ///< per cell: ASAP firing slot
   std::vector<std::int32_t> phase;      ///< per cell: slot % hyperPeriod
   std::vector<std::int64_t> arcOffset;  ///< per flat operand slot (0=literal)
   std::vector<std::uint32_t> topo;      ///< straight-line evaluation order
 
-  /// The --explain-schedule dump: hyper-period, per-cell slot/phase table,
-  /// arc offsets — or the structured decline reason.
+  /// Replay path: flat slot of every control port (gate ports and merge
+  /// selectors), in cell order.
+  std::vector<std::uint32_t> controlSlots;
+
+  /// The --explain-schedule dump: the class, then the slot table
+  /// (straight-line), the control ports and their sources (replay), or the
+  /// decline reason.
   std::string explain(const exec::ExecutableGraph& eg) const;
 };
 
 /// Computes the steady schedule of `eg`, or the structured decline.  Pure
-/// graph analysis: no timing profile, no input data.
+/// graph analysis, linear in the graph: no timing profile, no input data.
 SteadySchedule computeSteadySchedule(const exec::ExecutableGraph& eg);
 
 }  // namespace valpipe::sched

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "exec/ops.hpp"
 #include "support/check.hpp"
 
 namespace valpipe::sched {
@@ -33,11 +32,11 @@ bool fastOp(dfg::Op op) {
 SteadyLoop::SteadyLoop(const exec::ExecutableGraph& eg,
                        const SteadySchedule& sched)
     : eg_(eg), sched_(sched) {
-  VALPIPE_CHECK_MSG(sched.accepted, "SteadyLoop requires an accepted schedule");
+  VALPIPE_CHECK_MSG(sched.accepted && sched.path == ValuePath::SteadyLoop,
+                    "SteadyLoop requires a straight-line schedule");
   sourceData_.assign(eg.size(), nullptr);
   lo_.assign(eg.size(), 0);
   hi_.assign(eg.size(), -1);  // lo > hi => nothing requested
-  block_.resize(eg.size());
   dblock_.resize(eg.size());
 }
 
@@ -56,29 +55,10 @@ void SteadyLoop::request(std::uint32_t c, std::int64_t lo, std::int64_t hi) {
   }
 }
 
-Value SteadyLoop::sourceValue(std::uint32_t c, std::int64_t k) const {
-  // Mirrors detail::SingleEngine::sourceValue for the accepted source ops.
-  const exec::Cell& cell = eg_.cell(c);
-  const std::int64_t j = k % cell.tokensPerWave;
-  switch (cell.op) {
-    case dfg::Op::Input: {
-      VALPIPE_CHECK_MSG(sourceData_[c] != nullptr, "unbound Input stream");
-      return (*sourceData_[c])[static_cast<std::size_t>(j)];
-    }
-    case dfg::Op::BoolSeq: return Value(eg_.patternBit(cell, j));
-    case dfg::Op::IndexSeq: {
-      const std::int64_t span = cell.seqHi - cell.seqLo + 1;
-      return Value(cell.seqLo + (j / cell.seqRepeat) % span);
-    }
-    default: VALPIPE_UNREACHABLE("not an accepted source op");
-  }
-}
-
 bool SteadyLoop::fastPathEligible() const {
   // Inductively prove every needed value real (file comment): real sources
   // and real literals stay real through the fast ops; anything else (bool /
-  // integer sequences, comparisons, Div, Mod, ...) falls back to the
-  // generic Value path.
+  // integer sequences, comparisons, Div, Mod, ...) is left to the replay.
   std::vector<char> realOut(eg_.size(), 0);
   for (std::uint32_t c : sched_.topo) {
     const exec::Cell& cell = eg_.cell(c);
@@ -105,7 +85,7 @@ bool SteadyLoop::fastPathEligible() const {
   return true;
 }
 
-void SteadyLoop::compute() {
+bool SteadyLoop::compute() {
   // Widen every ancestor's hull: the k-th firing consumes token k of each
   // operand producer, so a needed range propagates upward unchanged.
   for (auto it = sched_.topo.rbegin(); it != sched_.topo.rend(); ++it) {
@@ -119,31 +99,7 @@ void SteadyLoop::compute() {
   }
   vectorized_ = fastPathEligible();
   if (vectorized_) computeVectorized();
-  else computeGeneric();
-  computed_ = true;
-}
-
-void SteadyLoop::computeGeneric() {
-  for (std::uint32_t c : sched_.topo) {
-    if (lo_[c] > hi_[c]) continue;
-    const exec::Cell& cell = eg_.cell(c);
-    const std::int64_t lo = lo_[c], hi = hi_[c];
-    std::vector<Value>& out = block_[c];
-    out.resize(static_cast<std::size_t>(hi - lo));
-    if (dfg::isSource(cell.op)) {
-      for (std::int64_t k = lo; k < hi; ++k)
-        out[static_cast<std::size_t>(k - lo)] = sourceValue(c, k);
-      continue;
-    }
-    for (std::int64_t k = lo; k < hi; ++k) {
-      out[static_cast<std::size_t>(k - lo)] =
-          exec::applyPure(cell.op, [&](int p) -> const Value& {
-            const exec::Operand& o = eg_.operand(cell, p);
-            if (o.isLiteral()) return o.literal;
-            return block_[o.producer][static_cast<std::size_t>(k - lo_[o.producer])];
-          });
-    }
-  }
+  return vectorized_;
 }
 
 void SteadyLoop::computeVectorized() {
@@ -225,10 +181,9 @@ void SteadyLoop::computeVectorized() {
 }
 
 Value SteadyLoop::value(std::uint32_t c, std::int64_t k) const {
-  VALPIPE_CHECK_MSG(computed_, "SteadyLoop::value before compute()");
+  VALPIPE_CHECK_MSG(vectorized_, "SteadyLoop::value without a computed loop");
   VALPIPE_CHECK_MSG(lo_[c] <= k && k < hi_[c], "token index outside computed hull");
-  const std::size_t i = static_cast<std::size_t>(k - lo_[c]);
-  return vectorized_ ? Value(dblock_[c][i]) : block_[c][i];
+  return Value(dblock_[c][static_cast<std::size_t>(k - lo_[c])]);
 }
 
 }  // namespace valpipe::sched

@@ -11,17 +11,16 @@
 // evaluated in the schedule's topological order — no time wheel, no ready
 // queue, no acknowledge traffic.  SchedulerKind::Compiled uses this loop to
 // reconstruct, in bulk, every value the event engine would have produced
-// across the hyper-periods it skips: output-stream appends, slot occupants
-// and FIFO ring contents at the jump target.
+// across the hyper-periods it skips on a straight-line graph: output-stream
+// appends, slot occupants and FIFO ring contents at the jump target.
 //
-// Bit-identity contract: the generic path calls exec::applyPure — the same
-// dispatch the engines use — on the same Value inputs, so results (and any
-// ValueError) are identical by construction.  The vectorized fast path runs
-// on raw double blocks and is only taken when a pre-pass proves every needed
-// value is real and every needed op is one whose ops:: real branch is the
-// plain double expression (add/sub/mul/neg/abs/min/max and the identity
-// ops); Div is excluded (ops::div throws on 0.0 where doubles yield inf),
-// as is everything integer, boolean or comparison-typed.
+// Bit-identity contract: the loop runs on raw double blocks and only when a
+// pre-pass proves every needed value is real and every needed op is one
+// whose ops:: real branch is the plain double expression (add/sub/mul/neg/
+// abs/min/max and the identity ops); Div is excluded (ops::div throws on 0.0
+// where doubles yield inf), as is everything integer, boolean or
+// comparison-typed.  Anything else is left to the compiled scheduler's
+// window replay, which runs the engines' own exec::applyPure.
 #pragma once
 
 #include <cstdint>
@@ -49,40 +48,34 @@ class SteadyLoop {
   /// produce may be requested (phantom evaluation could throw spuriously).
   void request(std::uint32_t c, std::int64_t lo, std::int64_t hi);
 
-  /// Evaluates all requested ranges.  Throws ValueError exactly where the
-  /// engines would (same ops:: routines on the same inputs).
-  void compute();
+  /// Evaluates all requested ranges when the all-real proof (file comment)
+  /// holds and returns true; otherwise computes nothing and returns false.
+  bool compute();
 
   /// Token `k` of cell `c`; only valid after compute() for requested (or
   /// ancestor-propagated) indices.
   Value value(std::uint32_t c, std::int64_t k) const;
 
-  /// Bulk read: the vectorized block of cell `c` positioned at token `lo`,
-  /// or nullptr when the last compute() took the generic path.  Valid for
+  /// Bulk read: the block of cell `c` positioned at token `lo`.  Valid for
   /// the same index range as value(); the caller indexes relative to `lo`.
   const double* realBlock(std::uint32_t c, std::int64_t lo) const {
-    if (!vectorized_) return nullptr;
     return dblock_[c].data() + (lo - lo_[c]);
   }
 
-  /// True when the last compute() ran the all-real vectorized fast path.
+  /// True when the last compute() evaluated the requested ranges.
   bool vectorized() const { return vectorized_; }
 
  private:
-  Value sourceValue(std::uint32_t c, std::int64_t k) const;
   bool fastPathEligible() const;
-  void computeGeneric();
   void computeVectorized();
 
   const exec::ExecutableGraph& eg_;
   const SteadySchedule& sched_;
   std::vector<const std::vector<Value>*> sourceData_;
   std::vector<std::int64_t> lo_, hi_;  ///< per-cell requested hull, lo>hi none
-  std::vector<std::vector<Value>> block_;   ///< generic path results
-  std::vector<std::vector<double>> dblock_; ///< fast path results
+  std::vector<std::vector<double>> dblock_; ///< per-cell results
   std::vector<double> scratch0_, scratch1_; ///< literal broadcast buffers
   bool vectorized_ = false;
-  bool computed_ = false;
 };
 
 }  // namespace valpipe::sched

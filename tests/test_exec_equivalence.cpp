@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "opt/fuse.hpp"
 #include "sched/schedule.hpp"
+#include "serve/lanes.hpp"
 #include "testing.hpp"
 #include "val/eval.hpp"
 
@@ -339,22 +340,228 @@ TEST_F(CompiledScheduler, ObservabilitySinksDisableFastForwardButStayIdentical) 
       << cp.compiled.reason;
 }
 
-TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
-  const auto prog = core::compile(core::frontend(testing::example1Source(16)));
-  const dfg::Graph lowered = dfg::expandFifos(prog.graph);
+/// The figure programs whose control is compile-time (§5 selection, §6
+/// boundary merge, §7 loop control), compiled at `m`.
+struct FigureProgram {
+  std::string name;
+  core::CompiledProgram prog;
+};
+
+std::vector<FigureProgram> replayFigures(int m) {
+  CompileOptions todd, companion;
+  todd.forIterScheme = ForIterScheme::Todd;
+  companion.forIterScheme = ForIterScheme::Companion;
+  companion.companionSkip = 4;
+  std::vector<FigureProgram> out;
+  out.push_back({"fig3", core::compileSource(testing::figure3Source(m))});
+  out.push_back({"fig4", core::compileSource(testing::selectionSource(m))});
+  out.push_back({"fig6", core::compileSource(testing::example1Source(m))});
+  out.push_back(
+      {"fig7-todd", core::compileSource(testing::example2Source(m), todd)});
+  out.push_back({"fig8-companion",
+                 core::compileSource(testing::example2Source(m), companion)});
+  return out;
+}
+
+/// Inputs in (-0.9, 0.9) for every parameter, so recurrences stay bounded.
+run::StreamMap figureInputs(const core::CompiledProgram& prog, unsigned seed) {
   val::ArrayMap in;
-  in["B"] = randomArray({0, 17}, 51);
-  in["C"] = randomArray({0, 17}, 52);
-  const run::StreamMap streams = testing::inputsFor(prog, in);
+  unsigned k = 0;
+  for (const auto& [name, range] : prog.inputs)
+    in[name] = randomArray(range, seed + 100 * k++, -0.9, 0.9);
+  return testing::inputsFor(prog, in);
+}
+
+RunOptions expectWaves(const core::CompiledProgram& prog, int waves) {
   RunOptions opts;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+  opts.waves = waves;
+  opts.expectedOutputs[prog.outputName] =
+      prog.expectedOutputPerWave() * waves;
+  return opts;
+}
+
+TEST_F(CompiledScheduler, FastForwardsFigureWorkloads) {
+  const int m = 512;
+  for (const FigureProgram& fp : replayFigures(m)) {
+    const run::StreamMap in = figureInputs(fp.prog, 81);
+    for (const bool fused : {true, false}) {
+      const dfg::Graph lowered = fused ? opt::fuseFifos(fp.prog.graph)
+                                       : dfg::expandFifos(fp.prog.graph);
+      for (const bool hardware : {false, true}) {
+        for (const int waves : {1, 3}) {
+          const std::string what = fp.name + (fused ? " fused" : " expanded") +
+                                   (hardware ? " hardware" : " unit") +
+                                   " waves=" + std::to_string(waves);
+          const CompiledRun r = runCompiledVsEvent(
+              lowered,
+              hardware ? MachineConfig::hardware() : MachineConfig::unit(), in,
+              expectWaves(fp.prog, waves));
+          expectIdentical(r.cp, r.ed, what);
+          ASSERT_TRUE(r.cp.completed) << what << ": " << r.cp.note;
+          EXPECT_TRUE(r.cp.compiled.accepted) << what << ": "
+                                              << r.cp.compiled.reason;
+          EXPECT_TRUE(r.cp.compiled.fastForwarded)
+              << what << ": " << r.cp.compiled.reason;
+          if (!hardware && waves == 1) {
+            EXPECT_TRUE(r.cp.compiled.replayed) << what;
+            EXPECT_GE(2 * r.cp.compiled.firingsSkipped, r.cp.totalFirings)
+                << what;
+          }
+        }
+      }
+    }
+    // Guards validate the bulk-advanced per-arc counters at every jump.
+    guard::Config guards;
+    RunOptions opts = expectWaves(fp.prog, 1);
+    opts.guards = &guards;
+    const CompiledRun r = runCompiledVsEvent(opt::fuseFifos(fp.prog.graph),
+                                             MachineConfig::unit(), in, opts);
+    expectIdentical(r.cp, r.ed, fp.name + " with guards");
+    EXPECT_TRUE(r.cp.compiled.fastForwarded)
+        << fp.name << ": " << r.cp.compiled.reason;
+  }
+}
+
+TEST_F(CompiledScheduler, ReplayStopsAtControlChange) {
+  // A gate pattern T x300, F x300, T x300: the replay must cut each jump at
+  // a flip (the skipped windows' control writes would differ from the base
+  // window's), the live loop crosses it, and the detector jumps again.
+  const std::int64_t n = 900;
+  dfg::Graph g;
+  const auto a = g.input("a", n);
+  dfg::BoolPattern flips;
+  for (std::int64_t k = 0; k < n; ++k)
+    flips.bits.push_back(k < 300 || k >= 600);
+  const auto ctl = g.boolSeq(flips, "ctl");
+  const auto gid = g.gatedIdentity(dfg::Graph::out(a), dfg::Graph::out(ctl),
+                                   "gid");
+  g.output("x", dfg::Graph::outT(gid));
+  const run::StreamMap in = {
+      {"a", testing::streamOf(randomArray({0, n - 1}, 91))}};
+  for (const bool hardware : {false, true}) {
+    RunOptions opts;
+    opts.expectedOutputs["x"] = 600;
+    const CompiledRun r = runCompiledVsEvent(
+        g, hardware ? MachineConfig::hardware() : MachineConfig::unit(), in,
+        opts);
+    expectIdentical(r.cp, r.ed, hardware ? "flips (hardware)" : "flips");
+    ASSERT_TRUE(r.cp.completed) << r.cp.note;
+    EXPECT_TRUE(r.cp.compiled.replayed) << r.cp.compiled.reason;
+    EXPECT_GT(r.cp.compiled.jumps, 1) << r.cp.compiled.reason;
+  }
+}
+
+TEST_F(CompiledScheduler, ValueErrorInSkippedWindowMatchesEventDriven) {
+  // A gated division whose divisor is zero at interior index 1200 of 2000:
+  // the replay meets the error in a skipped window, cuts the jump before
+  // it, and the live loop throws exactly what EventDriven throws.
+  const std::int64_t n = 2000;
+  dfg::Graph g;
+  const auto a = g.input("a", n);
+  const auto b = g.input("b", n);
+  const auto ctl = g.boolSeq(dfg::BoolPattern::uniform(true, n), "ctl");
+  const auto q = g.binary(dfg::Op::Div, dfg::Graph::out(a), dfg::Graph::out(b),
+                          "q");
+  const auto gid = g.gatedIdentity(dfg::Graph::out(q), dfg::Graph::out(ctl),
+                                   "gid");
+  g.output("x", dfg::Graph::outT(gid));
+  run::StreamMap in = {
+      {"a", testing::streamOf(randomArray({0, n - 1}, 101))},
+      {"b", testing::streamOf(randomArray({0, n - 1}, 102, 0.5, 1.0))}};
+  RunOptions opts;
+  opts.expectedOutputs["x"] = n;
+
+  // Without the zero the whole interior is skipped, index 1200 included.
+  const CompiledRun clean =
+      runCompiledVsEvent(g, MachineConfig::unit(), in, opts);
+  expectIdentical(clean.cp, clean.ed, "division without a zero");
+  EXPECT_GT(2 * clean.cp.compiled.firingsSkipped, clean.cp.totalFirings);
+
+  in["b"][1200] = Value(0.0);
+  const auto errorOf = [&](SchedulerKind kind) {
+    RunOptions o = opts;
+    o.scheduler = kind;
+    try {
+      machine::simulate(g, MachineConfig::unit(), in, o);
+    } catch (const ValueError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ValueError");
+  };
+  const std::string ed = errorOf(SchedulerKind::EventDriven);
+  EXPECT_NE(ed, "no ValueError");
+  EXPECT_EQ(errorOf(SchedulerKind::Compiled), ed);
+}
+
+TEST_F(CompiledScheduler, LanePacksFastForward) {
+  // 8-lane packs (lane-batched serving) ride the replay like scalars; a
+  // data-dependent conditional with divergent lanes declines and throws the
+  // divergent-lanes error on both schedulers.
+  const int m = 256;
+  const auto packed = [](const core::CompiledProgram& prog) {
+    std::vector<run::StreamMap> lanes;
+    for (unsigned l = 0; l < 8; ++l)
+      lanes.push_back(figureInputs(prog, 111 + l));
+    std::vector<const run::StreamMap*> ptrs;
+    for (const run::StreamMap& s : lanes) ptrs.push_back(&s);
+    return serve::packLanes(ptrs);
+  };
+  for (const std::string& src :
+       {testing::example1Source(m), testing::figure3Source(m)}) {
+    const auto prog = core::compileSource(src);
+    const CompiledRun r =
+        runCompiledVsEvent(opt::fuseFifos(prog.graph), MachineConfig::unit(),
+                           packed(prog), expectWaves(prog, 1));
+    expectIdentical(r.cp, r.ed, "8-lane packs");
+    ASSERT_TRUE(r.cp.completed) << r.cp.note;
+    EXPECT_TRUE(r.cp.compiled.fastForwarded) << r.cp.compiled.reason;
+    EXPECT_TRUE(r.cp.compiled.replayed) << r.cp.compiled.reason;
+  }
+
+  const auto cond = core::compileSource(testing::conditionalSource(m));
+  const run::StreamMap in = packed(cond);
+  const auto errorOf = [&](SchedulerKind kind) {
+    RunOptions o = expectWaves(cond, 1);
+    o.scheduler = kind;
+    try {
+      machine::simulate(opt::fuseFifos(cond.graph), MachineConfig::unit(), in,
+                        o);
+    } catch (const ValueError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ValueError");
+  };
+  const std::string ed = errorOf(SchedulerKind::EventDriven);
+  EXPECT_NE(ed.find("lane"), std::string::npos) << ed;
+  EXPECT_EQ(errorOf(SchedulerKind::Compiled), ed);
+}
+
+/// Figure 5's conditional: its gates are computed from input C.
+struct Conditional {
+  core::CompiledProgram prog;
+  dfg::Graph lowered;
+  run::StreamMap streams;
+};
+
+Conditional conditional(int m, unsigned seed) {
+  Conditional c;
+  c.prog = core::compile(core::frontend(testing::conditionalSource(m)));
+  c.lowered = dfg::expandFifos(c.prog.graph);
+  c.streams = figureInputs(c.prog, seed);
+  return c;
+}
+
+TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
+  const Conditional c = conditional(16, 51);
+  RunOptions opts;
+  opts.expectedOutputs[c.prog.outputName] = c.prog.expectedOutputPerWave();
   const CompiledRun r =
-      runCompiledVsEvent(lowered, MachineConfig::unit(), streams, opts);
-  expectIdentical(r.cp, r.ed, "compiled fallback on gated graph");
+      runCompiledVsEvent(c.lowered, MachineConfig::unit(), c.streams, opts);
+  expectIdentical(r.cp, r.ed, "compiled fallback on data-dependent control");
   ASSERT_TRUE(r.cp.completed) << r.cp.note;
   EXPECT_TRUE(r.cp.compiled.requested);
   EXPECT_FALSE(r.cp.compiled.accepted);
-  EXPECT_NE(r.cp.compiled.reason.find("declined (gated-delivery)"),
+  EXPECT_NE(r.cp.compiled.reason.find("declined (data-dependent-control)"),
             std::string::npos)
       << r.cp.compiled.reason;
   EXPECT_NE(r.cp.compiled.reason.find("falling back to event-driven"),
@@ -363,41 +570,42 @@ TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
 }
 
 TEST(CompiledFallback, ErrorModeThrowsScheduleDeclined) {
-  const auto prog = core::compile(core::frontend(testing::example1Source(8)));
-  const dfg::Graph lowered = dfg::expandFifos(prog.graph);
-  val::ArrayMap in;
-  in["B"] = randomArray({0, 9}, 61);
-  in["C"] = randomArray({0, 9}, 62);
-  const run::StreamMap streams = testing::inputsFor(prog, in);
+  const Conditional c = conditional(8, 61);
   RunOptions opts;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+  opts.expectedOutputs[c.prog.outputName] = c.prog.expectedOutputPerWave();
   opts.scheduler = SchedulerKind::Compiled;
   opts.compiledFallback = core::CompiledFallback::Error;
-  EXPECT_THROW(
-      machine::simulate(lowered, MachineConfig::unit(), streams, opts),
-      sched::ScheduleDeclined);
+  try {
+    machine::simulate(c.lowered, MachineConfig::unit(), c.streams, opts);
+    ADD_FAILURE() << "expected sched::ScheduleDeclined";
+  } catch (const sched::ScheduleDeclined& e) {
+    EXPECT_EQ(e.decline(), sched::Decline::DataDependentControl) << e.what();
+  }
 }
 
-TEST(CompiledFallback, FeedbackSchemesFallBackBitIdentical) {
-  // Both for-iter schemes carry feedback cycles the IR declines; the
-  // compiled scheduler must still match the event-driven run exactly.
+TEST(CompiledFallback, FeedbackSchemesFastForwardBitIdentical) {
+  // Both for-iter schemes carry feedback cycles driven by compile-time loop
+  // control: the compiled scheduler replays their steady windows and must
+  // still match the event-driven run exactly.
+  const int m = 512;
   for (ForIterScheme scheme : {ForIterScheme::Todd, ForIterScheme::Companion}) {
     CompileOptions copts;
     copts.forIterScheme = scheme;
     const auto prog =
-        core::compile(core::frontend(testing::example2Source(32)), copts);
+        core::compile(core::frontend(testing::example2Source(m)), copts);
     const dfg::Graph lowered = dfg::expandFifos(prog.graph);
     val::ArrayMap in;
-    in["A"] = randomArray({1, 32}, 71, -0.8, 0.8);
-    in["B"] = randomArray({1, 32}, 72);
+    in["A"] = randomArray({1, m}, 71, -0.8, 0.8);
+    in["B"] = randomArray({1, m}, 72);
     const run::StreamMap streams = testing::inputsFor(prog, in);
     RunOptions opts;
     opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
     const CompiledRun r =
         runCompiledVsEvent(lowered, MachineConfig::unit(), streams, opts);
-    expectIdentical(r.cp, r.ed, "compiled fallback on for-iter scheme");
+    expectIdentical(r.cp, r.ed, "compiled fast-forward on for-iter scheme");
     ASSERT_TRUE(r.cp.completed) << r.cp.note;
-    EXPECT_FALSE(r.cp.compiled.accepted);
+    EXPECT_TRUE(r.cp.compiled.accepted) << r.cp.compiled.reason;
+    EXPECT_TRUE(r.cp.compiled.fastForwarded) << r.cp.compiled.reason;
   }
 }
 

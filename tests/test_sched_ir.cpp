@@ -1,7 +1,8 @@
 // Static-schedule IR (sched/schedule.hpp): hyper-period and ASAP slot
 // computation on accepted graphs, per-arc steady-state buffer offsets, and
-// the structured decline taxonomy the compiled scheduler's fallback (and
-// valc --explain-schedule) report.  Also pins the phase-split contract:
+// the acceptance-by-control-source rule with its value paths and structured
+// declines, which the compiled scheduler's fallback (and valc
+// --explain-schedule) report.  Also pins the phase-split contract:
 // core::compile() equals the composition of the named phases.
 #include <gtest/gtest.h>
 
@@ -128,18 +129,35 @@ TEST(SchedIr, ExplainListsScheduleTable) {
   EXPECT_NE(text.find("OUT x"), std::string::npos) << text;
 }
 
+/// Compile-time control sends a graph to the replay value path: accepted,
+/// with `detail` naming the construct that rules out the straight-line loop.
+void expectReplay(const Graph& g, const std::string& why) {
+  const exec::ExecutableGraph eg(g);
+  const SteadySchedule s = computeSteadySchedule(eg);
+  ASSERT_TRUE(s.accepted) << s.detail;
+  EXPECT_EQ(s.decline, Decline::None);
+  EXPECT_EQ(s.path, sched::ValuePath::Replay);
+  EXPECT_TRUE(s.topo.empty());
+  EXPECT_NE(s.detail.find(why), std::string::npos) << s.detail;
+  const std::string text = s.explain(eg);
+  EXPECT_NE(text.find("steady schedule: accepted, replay"), std::string::npos)
+      << text;
+}
+
 TEST(SchedIr, DeclinesGatedDelivery) {
   Graph g;
   const auto a = g.input("a", 8);
   const auto ctl = g.boolSeq(dfg::BoolPattern::uniform(true, 8), "ctl");
   const auto gid = g.gatedIdentity(Graph::out(a), Graph::out(ctl), "gid");
   g.output("x", Graph::outT(gid));
-  const SteadySchedule s = computeSteadySchedule(exec::ExecutableGraph(g));
-  ASSERT_FALSE(s.accepted);
-  EXPECT_EQ(s.decline, Decline::Gate);
-  const std::string text = s.explain(exec::ExecutableGraph(g));
-  EXPECT_NE(text.find("declined (gated-delivery)"), std::string::npos) << text;
-  EXPECT_NE(text.find("falls back to event-driven"), std::string::npos) << text;
+  expectReplay(g, "routes results by a compile-time gate");
+  const exec::ExecutableGraph eg(g);
+  const SteadySchedule s = computeSteadySchedule(eg);
+  ASSERT_EQ(s.controlSlots.size(), 1u);
+  const std::string text = s.explain(eg);
+  EXPECT_NE(text.find("(ID) gate <- "), std::string::npos) << text;
+  EXPECT_NE(text.find("sources: cell"), std::string::npos) << text;
+  EXPECT_NE(text.find("(BSEQ)"), std::string::npos) << text;
 }
 
 TEST(SchedIr, DeclinesDataDependentMerge) {
@@ -149,9 +167,28 @@ TEST(SchedIr, DeclinesDataDependentMerge) {
   const auto f = g.input("f", 8);
   const auto m = g.merge(Graph::out(ctl), Graph::out(t), Graph::out(f), "m");
   g.output("x", Graph::out(m));
-  const SteadySchedule s = computeSteadySchedule(exec::ExecutableGraph(g));
+  expectReplay(g, "merges by a compile-time selector");
+}
+
+TEST(SchedIr, DeclinesDataDependentControl) {
+  // §5's conditional: the gate is computed from the data, so the routing —
+  // and with it the firing pattern — follows the input.
+  Graph g;
+  const auto a = g.input("a", 8);
+  const auto pos = g.binary(Op::Gt, Graph::out(a), Graph::lit(Value(0.0)),
+                            "pos");
+  const auto gid = g.gatedIdentity(Graph::out(a), Graph::out(pos), "gid");
+  g.output("x", Graph::outT(gid));
+  const exec::ExecutableGraph eg(g);
+  const SteadySchedule s = computeSteadySchedule(eg);
   ASSERT_FALSE(s.accepted);
-  EXPECT_EQ(s.decline, Decline::Merge);
+  EXPECT_EQ(s.decline, Decline::DataDependentControl);
+  EXPECT_NE(s.detail.find("gate depends on"), std::string::npos) << s.detail;
+  EXPECT_NE(s.detail.find("(IN a)"), std::string::npos) << s.detail;
+  const std::string text = s.explain(eg);
+  EXPECT_NE(text.find("declined (data-dependent-control)"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("falls back to event-driven"), std::string::npos) << text;
 }
 
 TEST(SchedIr, DeclinesArrayMemoryTraffic) {
@@ -173,9 +210,7 @@ TEST(SchedIr, DeclinesFeedbackCycle) {
   const auto back = g.identity(Graph::out(fwd), "back");
   g.node(fwd).inputs[1] = Graph::out(back);  // close the loop: fwd <-> back
   g.output("x", Graph::out(fwd));
-  const SteadySchedule s = computeSteadySchedule(exec::ExecutableGraph(g));
-  ASSERT_FALSE(s.accepted);
-  EXPECT_EQ(s.decline, Decline::Feedback);
+  expectReplay(g, "sits on a feedback cycle");
 }
 
 TEST(SchedIr, DeclinesInitialToken) {
@@ -185,9 +220,7 @@ TEST(SchedIr, DeclinesInitialToken) {
   boot.initial = Value(1.0);  // load-time token (counter bootstrap, §2)
   const auto c = g.binary(Op::Add, boot, Graph::lit(Value(0.0)), "c");
   g.output("x", Graph::out(c));
-  const SteadySchedule s = computeSteadySchedule(exec::ExecutableGraph(g));
-  ASSERT_FALSE(s.accepted);
-  EXPECT_EQ(s.decline, Decline::InitialToken);
+  expectReplay(g, "carries a load-time token");
 }
 
 TEST(SchedIr, DeclinesUnbalancedReconvergence) {
@@ -196,9 +229,7 @@ TEST(SchedIr, DeclinesUnbalancedReconvergence) {
   const auto i1 = g.identity(Graph::out(a), "i1");
   const auto sum = g.binary(Op::Add, Graph::out(i1), Graph::out(a), "sum");
   g.output("x", Graph::out(sum));
-  const SteadySchedule s = computeSteadySchedule(exec::ExecutableGraph(g));
-  ASSERT_FALSE(s.accepted);
-  EXPECT_EQ(s.decline, Decline::Unbalanced);
+  expectReplay(g, "reconverges operands at unequal depth");
 }
 
 TEST(SchedIr, CompiledValProgramYieldsAcceptedSchedule) {

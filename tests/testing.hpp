@@ -70,6 +70,30 @@ endfun
 )";
 }
 
+/// Figure 4's selection: an interior stencil that drops C's boundary
+/// elements by compile-time gates (§5).
+inline std::string selectionSource(int m = 8) {
+  return "const m = " + std::to_string(m) + "\n" +
+         R"(function sel(C: array[real] [0, m+1] returns array[real])
+  forall i in [1, m]
+  construct 0.25 * (C[i-1] + 2.*C[i] + C[i+1])
+  endall
+endfun
+)";
+}
+
+/// Figure 5's conditional: the branch is chosen by the data (C[i] > 0).
+inline std::string conditionalSource(int m = 8) {
+  return "const m = " + std::to_string(m) + "\n" +
+         R"(function cond(A, B, C: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct if C[i] > 0. then -(A[i] + B[i])
+            else 5. * (A[i] * B[i] + 2.) endif
+  endall
+endfun
+)";
+}
+
 /// One numeric `/proc/self/status` field: VmSize and VmRSS in KiB, Threads
 /// as a count; -1 if absent.
 inline long procStatus(const std::string& field) {
