@@ -94,7 +94,6 @@ inline RateResult measureRate(const core::CompiledProgram& prog,
 inline const char* schedulerName(machine::SchedulerKind k) {
   switch (k) {
     case machine::SchedulerKind::Reference: return "Reference";
-    case machine::SchedulerKind::Synchronous: return "Synchronous";
     case machine::SchedulerKind::EventDriven: return "EventDriven";
     case machine::SchedulerKind::Compiled: return "Compiled";
   }

@@ -1,13 +1,13 @@
-// ES — engine scaling: throughput of the three schedulers (reference
-// stepper, flattened synchronous rescan, event-driven ready queue) on the
-// F2 / F6 / F8 workload graphs as the array extent m grows.
+// ES — engine scaling: throughput of the reference stepper (full rescan)
+// and the event-driven ready queue on the F2 / F6 / F8 workload graphs as
+// the array extent m grows.
 //
 // The reference stepper costs O(cells) re-derived enabling work per
-// instruction time; the flattened engines share an ExecutableGraph lowered
-// once, and the event-driven scheduler only examines cells with a wake
-// event.  Throughput is reported as cells x cycles per second of wall time
-// (simulated cell-cycles per second), the natural unit for a rescan-style
-// simulator.  All schedulers must produce identical outputs.
+// instruction time; the event-driven scheduler runs on an ExecutableGraph
+// lowered once and only examines cells with a wake event.  Throughput is
+// reported as cells x cycles per second of wall time (simulated cell-cycles
+// per second), the natural unit for a rescan-style simulator.  Both
+// schedulers must produce identical outputs.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -129,10 +129,8 @@ void BM_Scheduler(benchmark::State& state, SchedulerKind kind) {
   }
 }
 void BM_Reference(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::Reference); }
-void BM_Synchronous(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::Synchronous); }
 void BM_EventDriven(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::EventDriven); }
 BENCHMARK(BM_Reference)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Synchronous)->Arg(256)->Arg(1024);
 BENCHMARK(BM_EventDriven)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
@@ -141,27 +139,23 @@ int main(int argc, char** argv) {
   using namespace valpipe;
   bench::banner(
       "ES (engine scaling)",
-      "reference stepper vs flattened synchronous vs event-driven scheduler",
+      "reference stepper vs event-driven scheduler",
       "identical results; event-driven >= 2x cell-cycles/sec on the m=4096 "
       "F6 forall graph");
 
   bench::BenchJson json("engine_scaling");
   json.meta("workload", "F2 / F6 / F8 graphs, schedulers side by side");
   TextTable table({"workload", "m", "cells", "cycles", "ref Mcc/s",
-                   "sync Mcc/s", "ed Mcc/s", "ed/ref", "same"});
+                   "ed Mcc/s", "ed/ref", "same"});
   double f6At4096Speedup = 0.0;
   for (std::int64_t m : {std::int64_t(64), std::int64_t(256),
                          std::int64_t(1024), std::int64_t(4096)}) {
     for (const Workload& w : {f2Workload(m), f6Workload(m), f8Workload(m)}) {
       const Timed ref = runTimed(w, SchedulerKind::Reference);
-      const Timed sync = runTimed(w, SchedulerKind::Synchronous);
       const Timed ed = runTimed(w, SchedulerKind::EventDriven);
       const bool same = ref.res.outputs == ed.res.outputs &&
-                        ref.res.outputs == sync.res.outputs &&
                         ref.res.cycles == ed.res.cycles &&
-                        ref.res.cycles == sync.res.cycles &&
-                        ref.res.totalFirings == ed.res.totalFirings &&
-                        ref.res.totalFirings == sync.res.totalFirings;
+                        ref.res.totalFirings == ed.res.totalFirings;
       const double speedup =
           cellCyclesPerSec(w, ed) / cellCyclesPerSec(w, ref);
       if (w.name == "F6 forall" && m == 4096) f6At4096Speedup = speedup;
@@ -169,7 +163,6 @@ int main(int argc, char** argv) {
                     std::to_string(w.lowered.size()),
                     std::to_string(ref.res.cycles),
                     fmtDouble(cellCyclesPerSec(w, ref) / 1e6, 3),
-                    fmtDouble(cellCyclesPerSec(w, sync) / 1e6, 3),
                     fmtDouble(cellCyclesPerSec(w, ed) / 1e6, 3),
                     fmtDouble(speedup, 2), same ? "yes" : "NO"});
       bench::JsonObj row;
@@ -177,7 +170,6 @@ int main(int argc, char** argv) {
           .add("m", m)
           .add("cells", static_cast<std::int64_t>(w.lowered.size()))
           .add("ref_mccs", cellCyclesPerSec(w, ref) / 1e6)
-          .add("sync_mccs", cellCyclesPerSec(w, sync) / 1e6)
           .add("ed_mccs", cellCyclesPerSec(w, ed) / 1e6)
           .add("ed_over_ref", speedup)
           .add("identical", same);

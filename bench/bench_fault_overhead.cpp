@@ -1,7 +1,7 @@
 // FO — fault/guard overhead: cost of the resilience layer on the hot path.
 //
-// The injector and the guards hang off RunOptions by pointer; when both are
-// null every hook is a single never-taken branch, so the engines must run at
+// The injector and the guards hang off RunOptions; when both are off every
+// hook is a single never-taken branch, so the engines must run at
 // the same cell-cycles-per-second as before the layer existed.  This bench
 // measures the F6 forall workload on the event-driven scheduler in four
 // modes — off, guards on, timing faults on, both on — and accepts when the
@@ -12,7 +12,6 @@
 #include <chrono>
 
 #include "fault/plan.hpp"
-#include "guard/guard.hpp"
 
 namespace {
 
@@ -84,10 +83,9 @@ fault::Plan timingPlan() {
 
 void BM_OffVsGuarded(benchmark::State& state, bool guarded) {
   const Workload w = f6Workload(state.range(0));
-  const guard::Config gcfg{};
   machine::RunOptions opts = w.opts;
   opts.scheduler = SchedulerKind::EventDriven;
-  if (guarded) opts.guards = &gcfg;
+  opts.guards = guarded;
   for (auto _ : state) {
     auto t = runTimed(w, opts, 1);
     benchmark::DoNotOptimize(t.res.cycles);
@@ -109,7 +107,6 @@ int main(int argc, char** argv) {
       "reference stepper; guards stay within 1.5x of off");
 
   const fault::Plan plan = timingPlan();
-  const guard::Config gcfg{};
 
   bench::BenchJson json("fault_overhead");
   json.meta("workload", "F6 forall, event-driven scheduler, unit profile");
@@ -124,7 +121,7 @@ int main(int argc, char** argv) {
     machine::RunOptions off = w.opts;
     off.scheduler = SchedulerKind::EventDriven;
     machine::RunOptions guards = off;
-    guards.guards = &gcfg;
+    guards.guards = true;
     machine::RunOptions faults = off;
     faults.faults = &plan;
     machine::RunOptions both = guards;

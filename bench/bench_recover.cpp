@@ -19,7 +19,6 @@
 #include <chrono>
 
 #include "fault/plan.hpp"
-#include "guard/guard.hpp"
 #include "recover/snapshot.hpp"
 #include "recover/supervisor.hpp"
 
@@ -160,10 +159,9 @@ int main(int argc, char** argv) {
     fault::Plan drops;
     drops.seed = 23;
     drops.dropResultPermille = 30;
-    guard::Config gcfg{};
     machine::RunOptions faulted = w.opts;
     faulted.faults = &drops;
-    faulted.guards = &gcfg;
+    faulted.guards = true;
     faulted.watchdog = 2000;
     faulted.maxInstructionTimes = 10'000'000;
     recover::RetryPolicy policy;

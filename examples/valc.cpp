@@ -15,10 +15,10 @@
 //     --dot                                   print Graphviz to stdout
 //     --run [waves]                           simulate with ramp inputs
 //     --scheduler KIND                        machine scheduler for --run:
-//                                             event | sync | reference |
-//                                             compiled (all bit-identical;
-//                                             compiled fast-forwards the
-//                                             steady state)
+//                                             event | reference | compiled
+//                                             (all bit-identical; compiled
+//                                             fast-forwards the steady
+//                                             state)
 //     --explain-schedule                      dump the static-schedule IR:
 //                                             straight-line (per-cell
 //                                             slots), replay (control ports
@@ -76,7 +76,7 @@ namespace {
                "usage: valc [--scheme S] [--forall F] [--balance B] [--skip K]"
                " [--batch N] [--routing R] [-O | --no-fuse] [--dot]"
                " [--run [waves]]"
-               " [--scheduler event|sync|reference|compiled]"
+               " [--scheduler event|reference|compiled]"
                " [--explain-schedule] [--classify] [--profile] [--trace FILE]"
                " [--faults SPEC] [--guards] [--watchdog N]"
                " [--checkpoint-every N] [--checkpoint-file F] [--restore F]"
@@ -131,8 +131,9 @@ int main(int argc, char** argv) {
       opts.interleave = std::atoi(next().c_str());
     } else if (arg == "--routing") {
       const std::string s = next();
-      opts.routing = s == "memory" ? core::ArrayRouting::Memory
-                                   : core::ArrayRouting::Stream;
+      opts.routing = s == "stream"   ? core::ArrayRouting::Stream
+                     : s == "memory" ? core::ArrayRouting::Memory
+                                     : (usage(), core::ArrayRouting::Stream);
     } else if (arg == "-O") {
       fuse = true;
     } else if (arg == "--no-fuse") {
@@ -153,7 +154,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--scheduler") {
       const std::string s = next();
       scheduler = s == "event"       ? core::SchedulerKind::EventDriven
-                  : s == "sync"      ? core::SchedulerKind::Synchronous
                   : s == "reference" ? core::SchedulerKind::Reference
                   : s == "compiled"  ? core::SchedulerKind::Compiled
                                      : (usage(), core::SchedulerKind::EventDriven);
@@ -292,8 +292,7 @@ int main(int argc, char** argv) {
         ropts.faults = &plan;
         std::printf("  faults: %s\n", fault::describe(plan).c_str());
       }
-      guard::Config gcfg;
-      if (guards) ropts.guards = &gcfg;
+      ropts.guards = guards;
       ropts.watchdog = watchdog;
       ropts.scheduler = scheduler;
       recover::CheckpointLog ckptLog;

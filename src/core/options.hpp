@@ -44,26 +44,19 @@ enum class ArrayRouting { Stream, Memory };
 /// bit-identical in all MachineResult fields; they differ only in how the
 /// statically known schedule of §3 is (re)discovered at runtime.
 ///
-/// The values are wire format (serve/wire.cpp sends them as a raw u8), so
-/// they are pinned.  Value 1 belonged to a retired sharded scheduler and is
-/// never reused: an old client asking for it is rejected, not silently
-/// given another scheduler.
+/// The values are pinned: 1 (a sharded scheduler) and 2 (a full-rescan
+/// scheduler) are retired and never reused.  The enum no longer crosses the
+/// wire — the serving layer runs every wave on EventDriven and keeps the old
+/// scheduler byte reserved as zero (serve/wire.hpp).
 enum class SchedulerKind {
   EventDriven = 0,  ///< time wheel + ready queue (the default)
-  Synchronous = 2,  ///< full cell rescan per instruction time
   Reference = 3,    ///< naive reference stepper (oracle)
   /// Steady-state backend over the sched::SteadySchedule IR: event-driven
-  /// fill/drain with the periodic middle fast-forwarded in bulk.  Falls back
-  /// to EventDriven (see CompiledFallback) when the schedule IR declines the
-  /// graph — array memory, or a gate/merge control computed from input.
+  /// fill/drain with the periodic middle fast-forwarded in bulk.  Runs as
+  /// EventDriven, with the reason in MachineResult::compiled.reason, when
+  /// the schedule IR declines the graph — array memory, or a gate/merge
+  /// control computed from input.
   Compiled = 4,
-};
-
-/// What SchedulerKind::Compiled does when sched::computeSteadySchedule
-/// declines the graph (or the run shape forces per-token execution).
-enum class CompiledFallback {
-  EventDriven,  ///< run EventDriven, record the reason in result.compiled
-  Error,        ///< throw sched::ScheduleDeclined
 };
 
 struct CompileOptions {
@@ -78,8 +71,6 @@ struct CompileOptions {
   ArrayRouting routing = ArrayRouting::Stream;
   /// Load-time values for scalar parameters (bound as literal operands).
   std::map<std::string, Value> scalarBindings;
-  /// Drop cells that cannot reach an output.
-  bool prune = true;
   /// Lower BoolSeq/IndexSeq generators to machine-level counter loops
   /// (Todd's construction).  The resulting counters are free-running, so run
   /// such programs on the machine engine with expected output counts.
@@ -109,7 +100,6 @@ inline std::string optionsKey(const CompileOptions& o) {
   k += ";il=" + std::to_string(o.interleave);
   k += ";bal=" + std::to_string(static_cast<int>(o.balanceMode));
   k += ";rt=" + std::to_string(static_cast<int>(o.routing));
-  k += ";prune=" + std::to_string(o.prune);
   k += ";lc=" + std::to_string(o.lowerControl);
   k += ";lo=" + std::to_string(o.lower);
   k += ";fuse=" + std::to_string(o.fuseFifos);

@@ -139,7 +139,7 @@ CompiledProgram buildGraph(const Module& m, const CompileOptions& opts) {
 }
 
 void normalize(CompiledProgram& p, const CompileOptions& opts) {
-  if (opts.prune) p.graph = dfg::pruneDead(p.graph);
+  p.graph = dfg::pruneDead(p.graph);
   if (opts.lowerControl) {
     p.graph = dfg::expandControlGenerators(p.graph);
     p.graph = dfg::pruneDead(p.graph);  // drop the stale generators

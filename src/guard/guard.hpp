@@ -15,10 +15,11 @@
 //
 // Guards re-check these at run time against per-arc counters, catching both
 // engine bugs and the destructive class of injected faults (fault/plan.hpp).
-// They are opt-in through run::RunOptions::guards (null = off), and every
-// hook is a null-pointer test when off — the same zero-cost contract as the
-// obs probes.  A violation throws guard::ViolationError naming the invariant
-// and the cells on the offending arc.
+// They are opt-in through run::RunOptions::guards (false = off), every
+// invariant is checked when on, and every hook is a null-pointer test when
+// off — the same zero-cost contract as the obs probes.  A violation throws
+// guard::ViolationError naming the invariant and the cells on the offending
+// arc.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +30,6 @@
 #include "exec/executable_graph.hpp"
 
 namespace valpipe::guard {
-
-/// Which invariants to enforce; all on by default.
-struct Config {
-  bool tokenConservation = true;
-  bool neverOverwrite = true;
-  bool ackBalance = true;
-  bool oneActiveInstance = true;
-  bool fifoCapacity = true;
-};
 
 enum class Invariant {
   TokenConservation,
@@ -97,8 +89,7 @@ std::string cellLabel(const exec::ExecutableGraph& eg, std::uint32_t cell);
 class LaneGuard {
  public:
   LaneGuard() = default;
-  LaneGuard(const Config* cfg, State* st, const exec::ExecutableGraph* eg)
-      : cfg_(cfg), st_(st), eg_(eg) {}
+  LaneGuard(State* st, const exec::ExecutableGraph* eg) : st_(st), eg_(eg) {}
 
   bool active() const { return st_ != nullptr; }
 
@@ -107,7 +98,7 @@ class LaneGuard {
   /// constrains).
   void onSend(std::uint32_t producer, std::uint32_t slot, std::int64_t at) {
     if (!st_) return;
-    if (cfg_->oneActiveInstance && st_->sent[slot] - st_->acked[slot] != 0)
+    if (st_->sent[slot] - st_->acked[slot] != 0)
       violate(Invariant::OneActiveInstance, producer, slot, at);
     ++st_->sent[slot];
   }
@@ -115,7 +106,7 @@ class LaneGuard {
   /// Producer receives the acknowledge freeing `slot`.
   void onAck(std::uint32_t producer, std::uint32_t slot, std::int64_t at) {
     if (!st_) return;
-    if (cfg_->ackBalance && st_->sent[slot] - st_->acked[slot] <= 0)
+    if (st_->sent[slot] - st_->acked[slot] <= 0)
       violate(Invariant::AckBalance, producer, slot, at);
     ++st_->acked[slot];
   }
@@ -124,9 +115,8 @@ class LaneGuard {
   void onDeliver(std::uint32_t consumer, std::uint32_t slot, bool occupied,
                  std::int64_t at) {
     if (!st_) return;
-    if (cfg_->neverOverwrite && occupied)
-      violate(Invariant::NeverOverwrite, consumer, slot, at);
-    if (cfg_->tokenConservation && st_->delivered[slot] >= st_->sent[slot])
+    if (occupied) violate(Invariant::NeverOverwrite, consumer, slot, at);
+    if (st_->delivered[slot] >= st_->sent[slot])
       violate(Invariant::TokenConservation, consumer, slot, at);
     ++st_->delivered[slot];
   }
@@ -135,8 +125,7 @@ class LaneGuard {
   void onConsume(std::uint32_t consumer, std::uint32_t slot, bool occupied,
                  std::int64_t at) {
     if (!st_) return;
-    if (cfg_->tokenConservation &&
-        (!occupied || st_->consumed[slot] >= st_->delivered[slot]))
+    if (!occupied || st_->consumed[slot] >= st_->delivered[slot])
       violate(Invariant::TokenConservation, consumer, slot, at);
     ++st_->consumed[slot];
   }
@@ -146,7 +135,7 @@ class LaneGuard {
   /// the skipped window — the engine advances the per-arc counters in bulk
   /// (N windows times the per-window delta) — so without this hook --guards
   /// would silently validate nothing across the jump.  The checkpoint
-  /// re-checks the *instantaneous* form of every configured invariant on
+  /// re-checks the *instantaneous* form of every invariant on
   /// the advanced counters: per arc, acked <= sent <= acked + 1 (ack
   /// balance / one active instance under the capacity-1 slot discipline)
   /// and consumed <= delivered <= sent (token conservation).  Violations
@@ -157,12 +146,12 @@ class LaneGuard {
          s < static_cast<std::uint32_t>(st_->sent.size()); ++s) {
       const std::uint32_t producer = eg_->operandAt(s).producer;
       if (producer == exec::kNoProducer) continue;  // literal arc: no packets
-      if (cfg_->ackBalance && st_->sent[s] < st_->acked[s])
+      if (st_->sent[s] < st_->acked[s])
         violate(Invariant::AckBalance, producer, s, at);
-      if (cfg_->oneActiveInstance && st_->sent[s] - st_->acked[s] > 1)
+      if (st_->sent[s] - st_->acked[s] > 1)
         violate(Invariant::OneActiveInstance, producer, s, at);
-      if (cfg_->tokenConservation && (st_->delivered[s] > st_->sent[s] ||
-                                      st_->consumed[s] > st_->delivered[s]))
+      if (st_->delivered[s] > st_->sent[s] ||
+          st_->consumed[s] > st_->delivered[s])
         violate(Invariant::TokenConservation, producer, s, at);
     }
   }
@@ -177,9 +166,9 @@ class LaneGuard {
                   std::int64_t accepted, std::int64_t emitted, int depth,
                   std::int64_t at) {
     if (!st_) return;
-    if (cfg_->tokenConservation && emitted > accepted)
+    if (emitted > accepted)
       violate(Invariant::TokenConservation, cell, inputSlot, at);
-    if (cfg_->fifoCapacity && accepted - emitted > depth - 1)
+    if (accepted - emitted > depth - 1)
       violate(Invariant::FifoCapacity, cell, inputSlot, at);
   }
 
@@ -187,7 +176,6 @@ class LaneGuard {
   [[noreturn]] void violate(Invariant inv, std::uint32_t cell,
                             std::uint32_t slot, std::int64_t at) const;
 
-  const Config* cfg_ = nullptr;
   State* st_ = nullptr;
   const exec::ExecutableGraph* eg_ = nullptr;
 };

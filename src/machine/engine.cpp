@@ -1,20 +1,18 @@
 // Timed machine simulation over the flattened exec::ExecutableGraph.
 //
-// The engine itself — flat state, firing discipline, and both serial run
-// loops — is detail::SingleEngine (machine/engine_single.hpp).  This file
-// supplies the MachineResult rate helpers and the one simulate() entry point
-// that dispatches on RunOptions::scheduler:
+// The engine itself — flat state, firing discipline, and the event loop — is
+// detail::SingleEngine (machine/engine_single.hpp).  This file supplies the
+// MachineResult rate helpers and the one simulate() entry point that
+// dispatches on RunOptions::scheduler:
 //
 //   Reference    → machine/engine_reference.cpp (pointer-walking oracle over
 //                  dfg::Graph);
-//   Synchronous  → SingleEngine::runSynchronous (full rescan);
 //   EventDriven  → SingleEngine::runEventDriven (time wheel);
 //   Compiled     → detail::runCompiled (machine/engine_compiled.cpp): the
 //                  event loop with a steady-state detector hooked in,
 //                  fast-forwarding whole periods through the
 //                  sched::SteadySchedule IR when the graph admits a static
-//                  schedule, falling back per RunOptions::compiledFallback
-//                  when it does not.
+//                  schedule, and the plain event loop when it does not.
 #include "machine/engine.hpp"
 
 #include <utility>
@@ -65,27 +63,18 @@ MachineResult simulate(const dfg::Graph& lowered, const ExecutableGraph& eg,
   detail::SingleEngine engine(eg, cfg, inputs, opts);
   engine.lowered = &lowered;
   if (opts.restoreFrom) detail::restoreSingle(engine, *opts.restoreFrom);
-  const char* label = "EventDriven";
   if (opts.trace) opts.trace->begin(detail::traceMetaFor(lowered, opts));
   if (opts.metrics) opts.metrics->begin(eg.size());
   engine.probe = obs::LaneProbe(opts.trace, opts.metrics);
-  switch (opts.scheduler) {
-    case SchedulerKind::Synchronous:
-      label = "Synchronous";
-      engine.schedLabel = label;
-      engine.runSynchronous();
-      break;
-    case SchedulerKind::Compiled:
-      label = "Compiled";
-      engine.schedLabel = label;
-      detail::runCompiled(engine);
-      break;
-    default:
-      engine.runEventDriven();
-      break;
+  if (opts.scheduler == SchedulerKind::Compiled) {
+    engine.schedLabel = "Compiled";
+    detail::runCompiled(engine);
+  } else {
+    engine.runEventDriven();
   }
   if (opts.metrics)
-    opts.metrics->finishRun(label, engine.result.cycles, engine.result.fuBusy);
+    opts.metrics->finishRun(engine.schedLabel, engine.result.cycles,
+                            engine.result.fuBusy);
   if (opts.trace) opts.trace->seal();
   return std::move(engine.result);
 }

@@ -9,21 +9,20 @@
 // of one firing per two instruction times under the unit profile, and k/S for
 // a feedback cycle of S stages carrying a dependence distance of k.
 //
-// The simulator runs on a flattened exec::ExecutableGraph and offers four
+// The simulator runs on a flattened exec::ExecutableGraph and offers three
 // schedulers with bit-identical results, all on the calling thread (the
 // serving layer runs whole graphs on parallel workers instead):
 //   - EventDriven (default): a cell is re-examined only when a token arrives,
 //     an acknowledge frees a destination, a function unit frees, or its own
 //     firing completes — work scales with firings, not cells x cycles;
-//   - Synchronous: rescans every cell each instruction time on the flat
-//     representation (diagnostic middle ground);
-//   - Reference: the original pointer-walking stepper over dfg::Graph, kept
-//     verbatim as the verification oracle and bench baseline (selected via
+//   - Reference: the original pointer-walking stepper over dfg::Graph, which
+//     rescans every cell each instruction time; kept verbatim as the
+//     verification oracle and bench baseline (selected via
 //     RunOptions::scheduler — the one way to pick a scheduler);
 //   - Compiled: the steady-state backend over the sched::SteadySchedule IR —
 //     event-driven fill and drain with the periodic middle of the run
 //     fast-forwarded whole hyper-periods at a time (machine/engine_compiled),
-//     falling back to EventDriven when the schedule IR declines the graph.
+//     running as EventDriven when the schedule IR declines the graph.
 //
 // The graph must carry no unresolved sugar beyond Op::Fifo, which the
 // simulator accepts in either lowered form: expanded into an Id chain
@@ -75,8 +74,6 @@ struct RunOptions : run::RunOptions {
   /// cfg.interPeDelay and are counted as distribution-network traffic.
   std::optional<Placement> placement;
   SchedulerKind scheduler = SchedulerKind::EventDriven;
-  /// What SchedulerKind::Compiled does on a declined graph.
-  core::CompiledFallback compiledFallback = core::CompiledFallback::EventDriven;
 };
 
 struct MachineResult {

@@ -879,11 +879,6 @@ void runCompiled(SingleEngine& e) {
   info.requested = true;
   const sched::SteadySchedule ss = sched::computeSteadySchedule(e.eg);
   if (!ss.accepted) {
-    if (e.opts.compiledFallback == core::CompiledFallback::Error)
-      throw sched::ScheduleDeclined(
-          ss.decline, "compiled scheduler declined (" +
-                          std::string(sched::declineName(ss.decline)) +
-                          "): " + ss.detail);
     info.reason = "declined (" + std::string(sched::declineName(ss.decline)) +
                   "): " + ss.detail + "; falling back to event-driven";
     e.runEventDriven();

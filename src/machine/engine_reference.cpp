@@ -8,8 +8,8 @@
 // speedup against it.  Do not optimize this file; its value is that it stays
 // the same.  (Two sanctioned additions: the fault-injection/guard/watchdog
 // hooks — the resilience layer must cover every scheduler, the oracle
-// included, and each hook is a null test when the run carries no plan or
-// guard config — and the composite-FIFO firing rule, which the oracle must
+// included, and each hook is a null test when the run carries no plan and
+// no guards — and the composite-FIFO firing rule, which the oracle must
 // implement so fused graphs stay cross-checkable; it mirrors
 // SingleEngine::fireFifo over exec::FifoState and is inert on expanded
 // graphs.)
@@ -101,7 +101,7 @@ struct ReferenceEngine {
     if (opts.guards) {
       egv.emplace(g);
       gst.emplace(*egv);
-      grd = guard::LaneGuard(opts.guards, &*gst, &*egv);
+      grd = guard::LaneGuard(&*gst, &*egv);
     }
     state.resize(g.size());
     result.firings.assign(g.size(), 0);

@@ -4,20 +4,14 @@
 // SingleEngine owns the run's flat state (operand slots, per-cell dynamic
 // scalars, composite-FIFO rings), implements the §2/§3 firing discipline
 // over it — enabling test, firing effects, acknowledge bookkeeping — and
-// drives it with the two run loops:
-//
-//   runSynchronous — rescans every cell each instruction time with rotating
-//                    priority, the original stepper's schedule on the flat
-//                    representation;
-//   runEventLoop   — examines only cells woken by an event (token arrival,
-//                    acknowledge, function-unit release, own-firing
-//                    completion, array-memory store), popped per instruction
-//                    time from exec::ReadyQueue and scanned in the same
-//                    rotating priority order.  runEventDriven is the plain
-//                    instantiation; the compiled scheduler
-//                    (machine/engine_compiled.cpp) instantiates it with a
-//                    per-step hook that watches for a steady state and
-//                    fast-forwards the run by whole periods.
+// drives it with one run loop, runEventLoop: it examines only cells woken by
+// an event (token arrival, acknowledge, function-unit release, own-firing
+// completion, array-memory store), popped per instruction time from
+// exec::ReadyQueue and scanned in the rotating priority order of the
+// Reference stepper's full rescan.  runEventDriven is the plain
+// instantiation; the compiled scheduler (machine/engine_compiled.cpp)
+// instantiates it with a per-step hook that watches for a steady state and
+// fast-forwards the run by whole periods.
 //
 // Both phases of an examined instruction time are kept two-phase (all
 // enabling decisions before any firing is applied), and candidate cells are
@@ -98,14 +92,14 @@ struct SingleEngine {
   obs::LaneProbe probe;
 
   /// Fault injector and invariant guards; both follow the same null-pointer
-  /// zero-cost contract as `probe`.  `grd` is bound when the run carries a
-  /// guard::Config.
+  /// zero-cost contract as `probe`.  `grd` is bound when the run sets
+  /// RunOptions::guards.
   fault::Injector inj;
   guard::LaneGuard grd;
 
   exec::FuPool fu;
   exec::StopCondition stop;
-  exec::ReadyQueue* rq = nullptr;  ///< set while running event-driven
+  exec::ReadyQueue* rq = nullptr;  ///< the running event loop's time wheel
   const dfg::Graph* lowered = nullptr;  ///< for the stall diagnosis
   std::optional<guard::State> gst;
 
@@ -115,11 +109,12 @@ struct SingleEngine {
   std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeLog = nullptr;
 
   /// Instruction time of the most recent firing (-1 before any), maintained
-  /// by both run loops; part of the quiescence decision and therefore part
-  /// of the state a fast-forward (or a snapshot) must carry.
+  /// by the run loop; part of the quiescence decision and therefore part of
+  /// the state a fast-forward (or a snapshot) must carry.
   std::int64_t lastFire_ = -1;
 
-  /// Scheduler label recorded in captured snapshots (set by the dispatch).
+  /// Scheduler label recorded in captured snapshots and metrics (set by the
+  /// dispatch).
   const char* schedLabel = "EventDriven";
   /// Next instruction time a checkpoint is due at (max = checkpointing off).
   std::int64_t nextCkpt_ = std::numeric_limits<std::int64_t>::max();
@@ -145,7 +140,7 @@ struct SingleEngine {
         stop(o.expectedOutputs) {
     if (opts.guards) {
       gst.emplace(eg);
-      grd = guard::LaneGuard(opts.guards, &*gst, &eg);
+      grd = guard::LaneGuard(&*gst, &eg);
     }
     // Load-time tokens (counter-loop bootstraps): present at t = 0.
     for (std::uint32_t s = 0; s < eg.slotCount(); ++s) {
@@ -199,6 +194,9 @@ struct SingleEngine {
   /// Schedules `cell` for examination at `at` (and mirrors the wake into
   /// wakeLog when the compiled scheduler is watching).
   void wake(std::uint32_t cell, std::int64_t at) {
+    // rq is always set while a run loop wakes cells.  The test stays for the
+    // code it shapes: without it GCC 12 inlines wake() into runEventLoop, and
+    // the plain event loop ran ~6% slower on fig5 (4-core x86 VM, -O3).
     if (rq) rq->wake(cell, at);
     if (wakeLog) wakeLog->emplace_back(cell, at);
   }
@@ -577,75 +575,9 @@ struct SingleEngine {
     result.packets = packets;
   }
 
-  /// Original schedule: rescan all cells each instruction time with rotating
-  /// priority for fairness under FU contention.
-  void runSynchronous() {
-    const std::size_t n = eg.size();
-    std::vector<std::uint32_t> toFire;
-    toFire.reserve(n);
-    const std::int64_t window = idleWindow();
-    const std::int64_t floorTime = inj.quiesceFloor();
-    const std::int64_t cap = capCycles();
-    std::int64_t idle = 0;
-    std::int64_t first = 0;
-    if (opts.restoreFrom) {
-      // State was seeded by restoreSingle; resume at the next step with the
-      // idle counter the uninterrupted run would carry there.
-      first = now + 1;
-      idle = now - lastFire_;
-      if (stop.outputsComplete()) {  // snapshot taken at the final boundary
-        result.completed = true;
-        now = first;
-        finish();
-        return;
-      }
-    }
-
-    for (now = first; now < cap; ++now) {
-      checkDeadline();
-      toFire.clear();
-      const std::size_t start =
-          n == 0 ? 0 : static_cast<std::size_t>(now) % n;
-      for (std::size_t k = 0; k < n; ++k) {
-        const auto id = static_cast<std::uint32_t>((start + k) % n);
-        if (!enabled(id)) continue;
-        const dfg::FuClass fc = eg.cell(id).fu;
-        if (const std::int64_t until = inj.outageUntil(fc, now); until > now) {
-          probe.denied(id, now, until);
-          continue;
-        }
-        if (!fu.tryGrant(fc, now)) {
-          probe.denied(id, now, fu.nextFree(fc));
-          continue;
-        }
-        toFire.push_back(id);
-      }
-      for (std::uint32_t id : toFire) fire(id);
-
-      if (!toFire.empty()) lastFire_ = now;
-      maybeCheckpoint();
-      if (stop.outputsComplete()) {
-        result.completed = true;
-        ++now;
-        break;
-      }
-      idle = toFire.empty() ? idle + 1 : 0;
-      if (idle > window && now >= floorTime) {
-        result.completed = stop.quiescentOk();
-        if (!result.completed) {
-          if (opts.watchdog > 0)
-            throwStall("watchdog: no cell fired within the idle window");
-          result.note = "deadlock: outputs incomplete";
-        }
-        break;
-      }
-    }
-    finish();
-  }
-
   /// Event-driven schedule: advance directly to the next instruction time
   /// with a woken cell; candidates are examined in the same rotating order
-  /// the rescan would use, so the two loops stay bit-identical.
+  /// the Reference stepper's rescan uses, so the two stay bit-identical.
   ///
   /// `afterStep(toFire)` runs once per examined instruction time, after
   /// phase B (and the lastFire_ update) and before the completion check.

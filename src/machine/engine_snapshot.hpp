@@ -4,9 +4,8 @@
 // header holds the machinery every timed engine shares when moving between
 // that format and its live state:
 //
-//   captureSingle / restoreSingle   — the flat engine (EventDriven,
-//                                     Synchronous, and Compiled, which runs
-//                                     the same engine);
+//   captureSingle / restoreSingle   — the flat engine (EventDriven, and
+//                                     Compiled, which runs the same engine);
 //   toFifoImage / fifoStateOf       — composite-FIFO ring conversion, also
 //                                     used by the Reference engine;
 //   scanClean                       — the kLostPacket poison scan deciding
@@ -14,8 +13,9 @@
 //   seedRestoreWakes                — reconstruction of the event-driven
 //                                     wake set from materialized state.
 //
-// Why wake reconstruction is sound.  The Synchronous scheduler examines
-// every cell at every instruction time and is bit-identical to EventDriven:
+// Why wake reconstruction is sound.  The Reference stepper rescans every
+// cell at every instruction time and is bit-identical to EventDriven (the
+// scheduler-equivalence matrix pins it, per-cell firing counts included):
 // the enabling test and two-phase firing discipline are insensitive to
 // *extra* examinations — an examined-but-not-enabled cell changes nothing.
 // Correctness of the event-driven schedule therefore needs only that no
@@ -28,7 +28,7 @@
 // waking every cell once at now + 1; and the FU/outage retries re-arm
 // themselves from that same sweep (phase A re-issues the retry wake whenever
 // an enabled cell is denied).  Extra wakes the uninterrupted run would not
-// have had are harmless by the Synchronous-equivalence argument — they may
+// have had are harmless by the same full-rescan argument — they may
 // add obs probe `denied` events, which are deliberately outside the
 // MachineResult equivalence contract.
 #pragma once
@@ -47,7 +47,7 @@ namespace valpipe::machine::detail {
 struct SingleEngine;
 
 /// Captures the complete state of the flat engine after phase B of
-/// step `e.now` (EventDriven / Synchronous / Compiled capture points).
+/// step `e.now` (EventDriven / Compiled capture points).
 recover::Snapshot captureSingle(const SingleEngine& e, const char* origin);
 
 /// Seeds a freshly constructed engine from `s` (validated against the graph).

@@ -11,11 +11,11 @@
 //
 // Determinism contract: Fire / Result / Ack events are a pure function of
 // the simulated schedule, which is bit-identical across every SchedulerKind,
-// so their canonical stream is identical across Reference, Synchronous,
-// EventDriven and Compiled (whose fast-forward is off while a sink is
-// attached).  FuDenied events are per-*examination* diagnostics: EventDriven
-// re-examines a denied cell only when a unit frees, while the rescan
-// schedulers re-examine it every cycle and so record more of them.
+// so their canonical stream is identical across Reference, EventDriven and
+// Compiled (whose fast-forward is off while a sink is attached).  FuDenied
+// events are per-*examination* diagnostics: EventDriven and Compiled
+// re-examine a denied cell only when a unit frees, while the Reference
+// stepper's rescan re-examines it every cycle and so records more of them.
 //
 // Cost contract: tracing off is a null-pointer test per firing hook (the
 // LaneProbe fast path in obs/probe.hpp); no sink, no cost.

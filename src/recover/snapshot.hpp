@@ -8,16 +8,16 @@
 // complete dynamic state, flattened the way the engines already flatten it
 // (exec::Slot / exec::CellDyn / exec::FifoState parallel arrays over the
 // ExecutableGraph's slot numbering); every scheduler — EventDriven,
-// Synchronous, Compiled, and the Reference oracle — captures into and
-// restores from this one format, so a snapshot taken under one scheduler
-// resumes under any other.
+// Compiled, and the Reference oracle — captures into and restores from this
+// one format, so a snapshot taken under one scheduler resumes under any
+// other.
 //
 // What is deliberately NOT captured: the time wheel.  Wake entries are
 // derivable from the materialized state (a full slot's readyAt wakes its
 // consumer, a freed slot's freedAt wakes its producer, a composite FIFO's
 // ring stamps give its maturation times), and the engines' enabling test is
-// stable under *extra* examinations — the Synchronous scheduler examines
-// every cell every instruction time and is bit-identical to EventDriven.
+// stable under *extra* examinations — the Reference stepper rescans every
+// cell every instruction time and is bit-identical to EventDriven.
 // Restore therefore reseeds a conservative wake set from state alone
 // (machine/engine_snapshot.hpp) instead of serializing scheduler internals.
 //
@@ -116,7 +116,7 @@ struct Snapshot {
   std::map<std::string, std::vector<std::int64_t>> outputTimes;
   run::StreamMap amFinal;
 
-  // --- guard counters (present when the run carried a guard::Config) ---
+  // --- guard counters (present when the run had guards on) ---
   bool hasGuards = false;
   std::vector<std::int64_t> guardSent;
   std::vector<std::int64_t> guardAcked;

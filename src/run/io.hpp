@@ -24,10 +24,6 @@ namespace valpipe::fault {
 struct Plan;
 }
 
-namespace valpipe::guard {
-struct Config;
-}
-
 namespace valpipe::recover {
 struct Snapshot;
 class CheckpointLog;
@@ -69,8 +65,9 @@ struct RunOptions {
   const fault::Plan* faults = nullptr;
 
   /// Runtime invariant guards (src/guard/), honored by the timed machine
-  /// engines.  Non-owning; null means off at zero cost.
-  const guard::Config* guards = nullptr;
+  /// engines: when set, every invariant is checked on every packet event.
+  /// Off costs nothing measurable.
+  bool guards = false;
 
   /// Observability sinks (src/obs/), honored by the timed machine engines
   /// and ignored by the untimed interpreter (it has no instruction-time

@@ -51,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,17 +74,6 @@ enum class ValuePath : std::uint8_t {
 };
 
 const char* valuePathName(ValuePath p);
-
-/// Thrown by the Compiled scheduler under CompiledFallback::Error.
-class ScheduleDeclined : public std::runtime_error {
- public:
-  ScheduleDeclined(Decline d, const std::string& what)
-      : std::runtime_error(what), decline_(d) {}
-  Decline decline() const { return decline_; }
-
- private:
-  Decline decline_;
-};
 
 /// The static steady-state schedule of an accepted graph (file comment).
 struct SteadySchedule {

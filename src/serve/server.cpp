@@ -139,17 +139,17 @@ bool batchable(const SessionOptions& o) {
 /// the cache guarantees one object per key) and identical run knobs.
 bool compatible(const Session::State& a, const Session::State& b) {
   return a.prog.get() == b.prog.get() &&
-         a.opts.scheduler == b.opts.scheduler &&
          a.opts.watchdog == b.opts.watchdog &&
          a.opts.maxInstructionTimes == b.opts.maxInstructionTimes;
 }
 
+/// Every wave-run is EventDriven (the RunOptions default): the scheduler is
+/// the server's choice, not a session option.
 machine::RunOptions runOptionsFor(const Session::State& st) {
   machine::RunOptions ro;
   ro.waves = 1;  // one wave-chunk per engine run; streaming = repeated runs
   ro.watchdog = st.opts.watchdog;
   ro.maxInstructionTimes = st.opts.maxInstructionTimes;
-  ro.scheduler = st.opts.scheduler;
   ro.expectedOutputs[st.prog->outputName()] = st.prog->outputPerWave();
   return ro;
 }
@@ -576,8 +576,7 @@ void Server::runSolo(RunUnit& unit) {
   if (s.failed.load()) return;  // sibling wave already failed the session
   machine::RunOptions ro = runOptionsFor(s);
   ro.amInitial = s.opts.amInitial;
-  guard::Config gcfg;
-  if (s.opts.guards) ro.guards = &gcfg;
+  ro.guards = s.opts.guards;
   if (s.opts.hasFaults) ro.faults = &s.opts.faults;
   obs::MetricsSink metrics;
   if (s.opts.wantMetrics) ro.metrics = &metrics;

@@ -84,7 +84,6 @@ const char* toString(Status s);
 /// Per-session run knobs (the per-session run::RunOptions surface).
 struct SessionOptions {
   int waves = 1;  ///< total wave-chunks this session will stream
-  core::SchedulerKind scheduler = core::SchedulerKind::EventDriven;
   std::int64_t watchdog = 0;  ///< idle-window stall abort (per wave-run)
   std::int64_t maxInstructionTimes = 50'000'000;  ///< runaway cap per wave-run
   bool guards = false;        ///< runtime invariant guards (src/guard/)

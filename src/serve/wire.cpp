@@ -11,15 +11,6 @@ namespace valpipe::serve {
 
 namespace {
 
-/// The pinned core::SchedulerKind wire values; 1 (a retired scheduler) and
-/// anything past Compiled are rejected.
-bool knownScheduler(std::uint8_t v) {
-  using K = core::SchedulerKind;
-  for (K k : {K::EventDriven, K::Synchronous, K::Reference, K::Compiled})
-    if (v == static_cast<std::uint8_t>(k)) return true;
-  return false;
-}
-
 // --- byte writer -----------------------------------------------------------
 
 struct Writer {
@@ -69,7 +60,7 @@ struct Writer {
   }
   void options(const WireOptions& o) {
     u8(o.fuseFifos ? 1 : 0);
-    u8(o.scheduler);
+    u8(0);  // reserved (WireOptions)
     u32(o.waves);
     i64(o.watchdog);
     i64(o.maxInstructionTimes);
@@ -166,9 +157,9 @@ struct Reader {
   WireOptions options() {
     WireOptions o;
     o.fuseFifos = u8() != 0;
-    o.scheduler = u8();
-    if (!knownScheduler(o.scheduler))
-      throw ProtocolError("unknown scheduler " + std::to_string(o.scheduler));
+    if (const std::uint8_t reserved = u8(); reserved != 0)
+      throw ProtocolError("reserved option byte is " +
+                          std::to_string(reserved) + ", not 0");
     o.waves = u32();
     if (o.waves == 0 || o.waves > 1'000'000)
       throw ProtocolError("waves out of range");
@@ -206,7 +197,6 @@ core::CompileOptions WireOptions::compileOptions() const {
 SessionOptions WireOptions::sessionOptions() const {
   SessionOptions s;
   s.waves = static_cast<int>(waves);
-  s.scheduler = static_cast<core::SchedulerKind>(scheduler);
   s.watchdog = watchdog;
   s.maxInstructionTimes = maxInstructionTimes;
   s.guards = guards;

@@ -66,9 +66,15 @@ enum class MsgType : std::uint8_t {
 /// The compile/run knobs a client may set per request.  A subset of
 /// core::CompileOptions + serve::SessionOptions chosen to cover the serving
 /// tests (notably fuseFifos, which keys the program cache).
+///
+/// Encoded body, in order: u8 fuseFifos, u8 reserved, u32 waves, i64
+/// watchdog, i64 maxInstructionTimes, u8 guards, u8 wantMetrics, string
+/// tenant, u32 priority, u32 maxAttempts, i64 checkpointEvery.  The reserved
+/// byte once chose the scheduler; the server now runs every wave on
+/// EventDriven, so encoders write 0 and the decoder rejects anything else
+/// with ProtocolError.
 struct WireOptions {
   bool fuseFifos = true;
-  std::uint8_t scheduler = 0;  ///< pinned core::SchedulerKind value
   std::uint32_t waves = 1;
   std::int64_t watchdog = 0;
   std::int64_t maxInstructionTimes = 50'000'000;

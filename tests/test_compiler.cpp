@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/paths.hpp"
+#include "core/phases.hpp"
 #include "dfg/stats.hpp"
 #include "dfg/validate.hpp"
 #include "testing.hpp"
@@ -189,10 +190,11 @@ function f(A: array[real] [0, m] returns array[real])
   construct used endall
 endfun
 )";
-  CompileOptions noPrune;
-  noPrune.prune = false;
-  const auto kept = core::compileSource(src, noPrune);
-  const auto pruned = core::compileSource(src);
+  const val::Module mod = core::frontend(src);
+  const CompileOptions opts;
+  const auto kept = core::phases::buildGraph(mod, opts);
+  auto pruned = core::phases::buildGraph(mod, opts);
+  core::phases::normalize(pruned, opts);
   EXPECT_LT(pruned.graph.size(), kept.graph.size());
 }
 

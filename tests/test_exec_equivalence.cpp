@@ -11,12 +11,10 @@
 #include "core/compiler.hpp"
 #include "dfg/lower.hpp"
 #include "generators.hpp"
-#include "guard/guard.hpp"
 #include "machine/engine.hpp"
 #include "machine/placement.hpp"
 #include "obs/metrics.hpp"
 #include "opt/fuse.hpp"
-#include "sched/schedule.hpp"
 #include "serve/lanes.hpp"
 #include "testing.hpp"
 #include "val/eval.hpp"
@@ -36,11 +34,11 @@ using testing::randomArray;
 
 using testing::expectIdentical;
 
-/// Runs all four single-threaded schedulers on the same workload and checks
-/// the flattened ones against the reference stepper field-by-field.  The
-/// Compiled scheduler rides along on every workload: accepted graphs take
-/// the fast-forward path, everything else exercises its fallback paths —
-/// either way the result must stay bit-identical.
+/// Runs all three schedulers on the same workload and checks EventDriven and
+/// Compiled against the reference stepper field-by-field.  Compiled rides
+/// along on every workload: accepted graphs take the fast-forward path,
+/// everything else exercises its fallback paths — either way the result must
+/// stay bit-identical.
 MachineResult runAllSchedulers(const dfg::Graph& lowered,
                                const MachineConfig& cfg,
                                const run::StreamMap& in, RunOptions opts,
@@ -49,12 +47,9 @@ MachineResult runAllSchedulers(const dfg::Graph& lowered,
   const MachineResult ref = machine::simulate(lowered, cfg, in, opts);
   opts.scheduler = SchedulerKind::EventDriven;
   const MachineResult ed = machine::simulate(lowered, cfg, in, opts);
-  opts.scheduler = SchedulerKind::Synchronous;
-  const MachineResult sync = machine::simulate(lowered, cfg, in, opts);
   opts.scheduler = SchedulerKind::Compiled;
   const MachineResult cp = machine::simulate(lowered, cfg, in, opts);
   expectIdentical(ed, ref, what + " [event-driven vs reference]");
-  expectIdentical(sync, ref, what + " [synchronous vs reference]");
   expectIdentical(cp, ref, what + " [compiled vs reference]");
   EXPECT_TRUE(cp.compiled.requested) << what;
   return ref;
@@ -298,9 +293,8 @@ TEST_F(CompiledScheduler, FastForwardsToQuiescenceWithoutExpectations) {
 
 TEST_F(CompiledScheduler, GuardsValidatePerHyperPeriodCountersAcrossJumps) {
   prepare(1024);
-  guard::Config guards;
   RunOptions opts = expectAll();
-  opts.guards = &guards;
+  opts.guards = true;
   const CompiledRun r =
       runCompiledVsEvent(lowered_, MachineConfig::unit(), streams_, opts);
   expectIdentical(r.cp, r.ed, "compiled run with guards");
@@ -411,9 +405,8 @@ TEST_F(CompiledScheduler, FastForwardsFigureWorkloads) {
       }
     }
     // Guards validate the bulk-advanced per-arc counters at every jump.
-    guard::Config guards;
     RunOptions opts = expectWaves(fp.prog, 1);
-    opts.guards = &guards;
+    opts.guards = true;
     const CompiledRun r = runCompiledVsEvent(opt::fuseFifos(fp.prog.graph),
                                              MachineConfig::unit(), in, opts);
     expectIdentical(r.cp, r.ed, fp.name + " with guards");
@@ -567,20 +560,6 @@ TEST(CompiledFallback, GatedGraphFallsBackWithStructuredReason) {
   EXPECT_NE(r.cp.compiled.reason.find("falling back to event-driven"),
             std::string::npos)
       << r.cp.compiled.reason;
-}
-
-TEST(CompiledFallback, ErrorModeThrowsScheduleDeclined) {
-  const Conditional c = conditional(8, 61);
-  RunOptions opts;
-  opts.expectedOutputs[c.prog.outputName] = c.prog.expectedOutputPerWave();
-  opts.scheduler = SchedulerKind::Compiled;
-  opts.compiledFallback = core::CompiledFallback::Error;
-  try {
-    machine::simulate(c.lowered, MachineConfig::unit(), c.streams, opts);
-    ADD_FAILURE() << "expected sched::ScheduleDeclined";
-  } catch (const sched::ScheduleDeclined& e) {
-    EXPECT_EQ(e.decline(), sched::Decline::DataDependentControl) << e.what();
-  }
 }
 
 TEST(CompiledFallback, FeedbackSchemesFastForwardBitIdentical) {

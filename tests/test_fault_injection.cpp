@@ -44,7 +44,6 @@ using testing::randomArray;
 constexpr SchedulerKind kAllSchedulers[] = {
     SchedulerKind::Reference,
     SchedulerKind::EventDriven,
-    SchedulerKind::Synchronous,
     SchedulerKind::Compiled,
 };
 
@@ -52,7 +51,6 @@ const char* schedName(SchedulerKind k) {
   switch (k) {
     case SchedulerKind::Reference: return "reference";
     case SchedulerKind::EventDriven: return "event-driven";
-    case SchedulerKind::Synchronous: return "synchronous";
     case SchedulerKind::Compiled: return "compiled";
   }
   return "?";
@@ -87,7 +85,7 @@ Workload makeWorkload(int p) {
 
 MachineResult runUnder(const Workload& w, const MachineConfig& cfg,
                        SchedulerKind k, const fault::Plan* plan,
-                       const guard::Config* guards, std::int64_t watchdog,
+                       bool guards, std::int64_t watchdog,
                        bool toQuiescence = false) {
   RunOptions opts;
   opts.waves = 1;
@@ -173,7 +171,7 @@ TEST_P(FaultMatrix, TimingFaultsPreserveOutputsAndPacketCounts) {
   // Fault-free Reference run to quiescence: the oracle everything must
   // match, down to the per-cell firing counts.
   const MachineResult oracle = runUnder(w, cfg, SchedulerKind::Reference,
-                                        nullptr, nullptr, 0,
+                                        nullptr, false, 0,
                                         /*toQuiescence=*/true);
   ASSERT_TRUE(oracle.completed) << oracle.note;
   EXPECT_EQ(oracle.faults.destructive(), 0u);
@@ -186,7 +184,7 @@ TEST_P(FaultMatrix, TimingFaultsPreserveOutputsAndPacketCounts) {
       const std::string what = std::string(schedName(k)) + " plan " +
                                std::to_string(planIdx) + " (" +
                                fault::describe(plan) + ")";
-      const MachineResult res = runUnder(w, cfg, k, &plan, nullptr, 0,
+      const MachineResult res = runUnder(w, cfg, k, &plan, false, 0,
                                          /*toQuiescence=*/true);
       expectDeterminate(res, oracle, what);
     }
@@ -219,12 +217,11 @@ TEST_P(FaultMatrix, TimingFaultsUnderGuardsAndPlacementStayClean) {
   plan.latencyJitterMax = 2;
   plan.deliveryDelayMax = 2;
   plan.outages.push_back({dfg::FuClass::Pe, 2, 4});
-  const guard::Config guards{};  // guards on: a timing fault must never trip one
   for (const SchedulerKind k : kAllSchedulers) {
     RunOptions opts = base;
     opts.scheduler = k;
     opts.faults = &plan;
-    opts.guards = &guards;
+    opts.guards = true;  // a timing fault must never trip a guard
     opts.watchdog = 2'000;  // nor may the watchdog misfire on a live run
     const MachineResult res =
         machine::simulate(w.lowered, cfg, w.streams, opts);
@@ -247,9 +244,8 @@ Outcome destructiveOutcome(const Workload& w, const MachineConfig& cfg,
                            SchedulerKind k, const fault::Plan& plan,
                            const MachineResult& oracle,
                            const std::string& what) {
-  const guard::Config guards{};
   try {
-    const MachineResult res = runUnder(w, cfg, k, &plan, &guards, 500);
+    const MachineResult res = runUnder(w, cfg, k, &plan, true, 500);
     // The run ended normally: every expected output must have arrived with
     // values bit-identical to the fault-free run — "mostly recovered" with
     // wrong data is exactly the silent failure this suite exists to catch.
@@ -288,7 +284,7 @@ TEST(FaultDestructive, DropsAndDuplicatesNeverHangOrCorruptSilently) {
     SCOPED_TRACE(w.src);
     const MachineConfig cfg = MachineConfig::unit();
     const MachineResult oracle = runUnder(w, cfg, SchedulerKind::Reference,
-                                          nullptr, nullptr, 0);
+                                          nullptr, false, 0);
     ASSERT_TRUE(oracle.completed) << oracle.note;
 
     struct Destructive {
@@ -338,9 +334,8 @@ TEST(FaultDestructive, EveryResultDroppedYieldsLostPacketDiagnosis) {
   fault::Plan plan;
   plan.dropResultPermille = 1000;  // certainty: every result packet is lost
   for (const SchedulerKind k : kAllSchedulers) {
-    const guard::Config guards{};
     try {
-      runUnder(w, MachineConfig::unit(), k, &plan, &guards, 200);
+      runUnder(w, MachineConfig::unit(), k, &plan, true, 200);
       FAIL() << schedName(k) << ": run with every result dropped completed";
     } catch (const run::StallError& e) {
       const std::string msg = e.what();
@@ -362,9 +357,8 @@ TEST(FaultDestructive, EveryResultDuplicatedTripsAGuardByName) {
   fault::Plan plan;
   plan.dupResultPermille = 1000;  // the duplicate lands in an occupied slot
   for (const SchedulerKind k : kAllSchedulers) {
-    const guard::Config guards{};
     try {
-      runUnder(w, MachineConfig::unit(), k, &plan, &guards, 200);
+      runUnder(w, MachineConfig::unit(), k, &plan, true, 200);
       FAIL() << schedName(k)
              << ": run with every result duplicated passed the guards";
     } catch (const guard::ViolationError& e) {

@@ -160,9 +160,8 @@ TEST(RateAuditor, BalancingRepairsTheUnbalancedGraph) {
 TEST(Trace, IdenticalAcrossAllSchedulersUnderUnitProfile) {
   const Graph g = figure2Graph(256);
 
-  obs::TraceSink ref, sync, ed, compiled;
+  obs::TraceSink ref, ed, compiled;
   runWithSinks(g, nullptr, &ref, machine::SchedulerKind::Reference);
-  runWithSinks(g, nullptr, &sync, machine::SchedulerKind::Synchronous);
   runWithSinks(g, nullptr, &ed, machine::SchedulerKind::EventDriven);
   runWithSinks(g, nullptr, &compiled, machine::SchedulerKind::Compiled);
   ASSERT_TRUE(ref.sealed());
@@ -173,7 +172,6 @@ TEST(Trace, IdenticalAcrossAllSchedulersUnderUnitProfile) {
   // Unit profile has unlimited units, so no FuDenied events exist and the
   // full streams must match across every scheduler.
   EXPECT_TRUE(obs::TraceSink::sameSchedule(ref, ed));
-  EXPECT_TRUE(obs::TraceSink::sameSchedule(sync, ed));
   EXPECT_TRUE(obs::TraceSink::sameSchedule(compiled, ed));
 }
 

@@ -208,8 +208,7 @@ TEST_P(FusionEquivalence, FusedBitIdenticalAcrossSchedulersAndMatchesExpanded) {
     const MachineResult ref = machine::simulate(fused, cfg, streams, opts);
     ASSERT_TRUE(ref.completed) << ref.note;
     for (const SchedulerKind kind :
-         {SchedulerKind::EventDriven, SchedulerKind::Synchronous,
-          SchedulerKind::Compiled}) {
+         {SchedulerKind::EventDriven, SchedulerKind::Compiled}) {
       opts.scheduler = kind;
       const MachineResult got = machine::simulate(fused, cfg, streams, opts);
       testing::expectIdentical(got, ref, "fused scheduler equivalence");

@@ -50,7 +50,6 @@ using testing::randomArray;
 constexpr SchedulerKind kAllSchedulers[] = {
     SchedulerKind::Reference,
     SchedulerKind::EventDriven,
-    SchedulerKind::Synchronous,
     SchedulerKind::Compiled,
 };
 
@@ -58,7 +57,6 @@ const char* schedName(SchedulerKind k) {
   switch (k) {
     case SchedulerKind::Reference: return "reference";
     case SchedulerKind::EventDriven: return "event-driven";
-    case SchedulerKind::Synchronous: return "synchronous";
     case SchedulerKind::Compiled: return "compiled";
   }
   return "?";
@@ -285,7 +283,6 @@ const char* destructiveName(int which) {
 
 TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
   const Workload w = makeWorkload(0);
-  const guard::Config guards;
   for (SchedulerKind k : kAllSchedulers) {
     const MachineResult ref = machine::simulate(
         w.expanded, MachineConfig::unit(), w.streams, baseOpts(w, k));
@@ -296,7 +293,7 @@ TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
       const fault::Plan plan = destructivePlan(which, 7 + which);
       RunOptions opts = baseOpts(w, k);
       opts.faults = &plan;
-      opts.guards = &guards;  // dup faults surface through the guards
+      opts.guards = true;  // dup faults surface through the guards
 
       // Unsupervised, the faulted run must die loudly (or, when no fault
       // happened to trigger, complete with the fault-free outputs).
@@ -338,14 +335,13 @@ TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
 
 TEST(RecoverSupervisor, RestartsFromScratchWithoutCheckpoints) {
   const Workload w = makeWorkload(1);
-  const guard::Config guards;
   const MachineResult ref =
       machine::simulate(w.expanded, MachineConfig::unit(), w.streams,
                         baseOpts(w, SchedulerKind::EventDriven));
   const fault::Plan plan = destructivePlan(0, 11);
   RunOptions opts = baseOpts(w, SchedulerKind::EventDriven);
   opts.faults = &plan;
-  opts.guards = &guards;
+  opts.guards = true;
   recover::RetryPolicy policy;
   policy.checkpointEvery = 0;  // no checkpoints: recovery = full restart
   policy.sleepBetweenRetries = false;
@@ -360,11 +356,10 @@ TEST(RecoverSupervisor, RestartsFromScratchWithoutCheckpoints) {
 
 TEST(RecoverSupervisor, ExhaustionThrowsWithReport) {
   const Workload w = makeWorkload(0);
-  const guard::Config guards;
   const fault::Plan plan = destructivePlan(0, 5);
   RunOptions opts = baseOpts(w, SchedulerKind::EventDriven);
   opts.faults = &plan;
-  opts.guards = &guards;
+  opts.guards = true;
   recover::RetryPolicy policy;
   policy.maxAttempts = 2;
   policy.stripDestructiveFaults = false;  // the retry re-injects and re-dies

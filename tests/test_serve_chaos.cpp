@@ -6,7 +6,8 @@
 // overload surface over the wire: tenant rate limiting and lowest-priority
 // queue shedding both yield Status::Overloaded plus a Retry-After hint.  And
 // the socket path's own bounds: a one-shot with more waves than the session
-// window completes, and a connection's thread ends with its connection.
+// window completes, a connection's thread ends with its connection, and a
+// frame that sets the reserved scheduler byte is refused.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -178,6 +179,53 @@ TEST(ServeChaos, WireRunWithMoreWavesThanTheWindow) {
   ASSERT_EQ(r.type, serve::MsgType::RunResult) << r.error;
   ASSERT_EQ(r.status, statusByte(serve::Status::Ok)) << r.error;
   EXPECT_EQ(r.outputs.at(prog.outputName), expected);
+}
+
+TEST(ServeChaos, ReservedSchedulerByteIsABadRequestOverTheSocket) {
+  serve::Server server;
+  const std::string path = socketPath("valpipe-reserved");
+  serve::Listener listener(server, path);
+  std::thread accept([&] { listener.run(); });
+
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+  const run::StreamMap in = tenantInputs(prog, 90);
+
+  // The options byte after fuseFifos once chose the scheduler; 3 asked for
+  // the unoptimized Reference stepper.  It is reserved as zero now.
+  std::vector<std::uint8_t> hostile =
+      serve::encodeRun(src, serve::WireOptions{}, in);
+  const std::size_t at = 1 + 4 + src.size() + 1;  // type, source, fuseFifos
+  ASSERT_EQ(hostile[at], 0);
+  hostile[at] = 3;
+
+  const timeval timeout{30, 0};
+  const int fd = serve::connectTo(path);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  serve::writeFrame(fd, hostile);
+  const auto frame = serve::readFrame(fd);
+  ASSERT_TRUE(frame.has_value());
+  const serve::ReplyMsg bad = serve::parseReply(frame->data(), frame->size());
+  EXPECT_EQ(bad.type, serve::MsgType::Error);
+  EXPECT_EQ(bad.status, statusByte(serve::Status::BadRequest)) << bad.error;
+  EXPECT_FALSE(serve::readFrame(fd).has_value()) << "connection left open";
+  ::close(fd);
+
+  // The same server still answers a well-formed request, bit-identical to a
+  // direct EventDriven run.
+  const int ok = serve::connectTo(path);
+  ::setsockopt(ok, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const serve::ReplyMsg good =
+      serve::requestRun(ok, src, serve::WireOptions{}, in);
+  ::close(ok);
+  listener.stop();
+  accept.join();
+  server.shutdown();
+
+  ASSERT_EQ(good.type, serve::MsgType::RunResult) << good.error;
+  ASSERT_EQ(good.status, statusByte(serve::Status::Ok)) << good.error;
+  EXPECT_EQ(good.outputs.at(prog.outputName),
+            directRun(prog, in).at(prog.outputName));
 }
 
 TEST(ServeChaos, EndedConnectionsLeaveNoThreadBehind) {

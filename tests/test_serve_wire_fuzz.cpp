@@ -85,7 +85,6 @@ void mustNotCrash(const Bytes& b, const std::string& what) {
 TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   serve::WireOptions wo;
   wo.fuseFifos = false;
-  wo.scheduler = 2;
   wo.waves = 5;
   wo.watchdog = 42;
   wo.maxInstructionTimes = 99;
@@ -100,7 +99,6 @@ TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   EXPECT_EQ(m.session, 3u);
   EXPECT_EQ(m.source, "src text");
   EXPECT_EQ(m.options.fuseFifos, wo.fuseFifos);
-  EXPECT_EQ(m.options.scheduler, wo.scheduler);
   EXPECT_EQ(m.options.waves, wo.waves);
   EXPECT_EQ(m.options.watchdog, wo.watchdog);
   EXPECT_EQ(m.options.maxInstructionTimes, wo.maxInstructionTimes);
@@ -140,28 +138,30 @@ TEST(ServeWireFuzz, RoundtripEveryMessageType) {
   EXPECT_EQ(back.cacheHit, r.cacheHit);
 }
 
-TEST(ServeWireFuzz, SchedulerWireValuesArePinned) {
-  using K = core::SchedulerKind;
-  const std::pair<std::uint8_t, K> pinned[] = {
-      {0, K::EventDriven}, {2, K::Synchronous}, {3, K::Reference},
-      {4, K::Compiled}};
-  for (const auto& [wire, kind] : pinned) {
-    serve::WireOptions wo;
-    wo.scheduler = wire;
-    const auto open = serve::encodeOpen(1, "src", wo);
-    const serve::ClientMsg m = serve::parseClient(open.data(), open.size());
-    EXPECT_EQ(m.options.sessionOptions().scheduler, kind)
-        << "wire " << int(wire);
-  }
-  // 1 belonged to a retired scheduler and must not decode as another one;
-  // 5 is past the last kind.
-  for (std::uint8_t wire : {1, 5}) {
-    serve::WireOptions wo;
-    wo.scheduler = wire;
-    const auto open = serve::encodeOpen(1, "src", wo);
-    EXPECT_THROW(serve::parseClient(open.data(), open.size()),
-                 serve::ProtocolError)
-        << "wire " << int(wire);
+TEST(ServeWireFuzz, SchedulerByteIsReserved) {
+  // The options byte after fuseFifos once chose the scheduler; every client
+  // sent 0 there.  It keeps its place in Open and Run frames: 0 decodes,
+  // and any other value is a ProtocolError.
+  const std::string src = "src";
+  serve::WireOptions wo;
+  wo.waves = 3;
+  const Bytes open = serve::encodeOpen(1, src, wo);
+  const Bytes run = serve::encodeRun(src, wo, {});
+  // type, [u32 session,] u32-counted source, u8 fuseFifos, reserved byte.
+  const std::pair<const Bytes*, std::size_t> frames[] = {
+      {&open, 1 + 4 + 4 + src.size() + 1}, {&run, 1 + 4 + src.size() + 1}};
+  for (const auto& [frame, at] : frames) {
+    ASSERT_EQ((*frame)[at], 0);
+    const serve::ClientMsg m = serve::parseClient(frame->data(), frame->size());
+    EXPECT_EQ(m.source, src);
+    EXPECT_EQ(m.options.waves, 3u);  // the fields after the byte stay put
+    for (int v = 1; v <= 255; ++v) {
+      Bytes bad = *frame;
+      bad[at] = static_cast<std::uint8_t>(v);
+      EXPECT_THROW(serve::parseClient(bad.data(), bad.size()),
+                   serve::ProtocolError)
+          << "reserved byte " << v;
+    }
   }
 }
 
