@@ -39,13 +39,13 @@ class ReadyQueue {
   void wake(std::uint32_t cell, std::int64_t at) {
     if (lastWake_[cell] == at) return;  // common duplicate (ack + arrival)
     lastWake_[cell] = at;
-    // Keep the cursor a true lower bound.  A wake can land behind a cursor
-    // nextTime() already scanned forward (a restore seeds wakes after
-    // advanceTo; the compiled scheduler rebuilds a cleared wheel at shifted
-    // times), and an empty wheel's cursor may be arbitrarily stale; in both
-    // cases scanning from the old cursor would miss (or alias) this entry's
-    // bucket.  Every bucket between `at` and a scanned-ahead cursor is
-    // empty, so snapping back is exact.
+    // Keep the cursor a true lower bound.  An empty wheel's cursor may be
+    // arbitrarily stale (a fresh or cleared wheel that a restore or a
+    // compiled-scheduler jump reseeds far from 0), so the first wake places
+    // it; a wake can also land behind a cursor nextTime() already scanned
+    // forward.  Scanning from the old cursor would miss (or alias) this
+    // entry's bucket.  Every bucket between `at` and a scanned-ahead cursor
+    // is empty, so snapping back is exact.
     if (count_ == 0 || at < next_) next_ = at;
     buckets_[static_cast<std::size_t>(at & mask_)].push_back(cell);
     ++count_;
@@ -59,19 +59,11 @@ class ReadyQueue {
     return next_;
   }
 
-  /// Fast-forwards the scan cursor to `t`.  Used when a run resumes from a
-  /// snapshot at time `t`: the fresh wheel must not scan up from 0 (or alias
-  /// entries a full ring ahead).  Precondition: no entry is scheduled before
-  /// `t`.
-  void advanceTo(std::int64_t t) {
-    if (t > next_) next_ = t;
-  }
-
   /// Forgets every scheduled wake and resets the cursor and dedupe stamps,
-  /// returning the wheel to its just-constructed state.  Used by the
-  /// compiled scheduler when it fast-forwards time in bulk: entries at
-  /// pre-jump times would otherwise alias post-jump buckets, so the pending
-  /// set is rebuilt from the schedule's wake mirror at the shifted times.
+  /// returning the wheel to its just-constructed state, before the engine
+  /// reseeds it from materialized state (a restore, or the compiled
+  /// scheduler's bulk jump, whose pre-jump entries would otherwise alias
+  /// post-jump buckets).
   void clear() {
     for (auto& b : buckets_) b.clear();
     count_ = 0;

@@ -9,31 +9,34 @@
 // ordinary event loop (detail::SingleEngine::runEventLoop) with a per-step
 // hook that
 //
-//   1. mirrors the time wheel's pending wakes (SingleEngine::wakeLog), so the
-//      wheel can be rebuilt, shifted in time, after a jump;
-//   2. once the fill transient is over, snapshots the machine state in
+//   1. once the fill transient is over, snapshots the machine state in
 //      shift-canonical form — every timestamp taken relative to `now` and
 //      floored where it can no longer influence behavior, plus the
 //      occupants of full control slots — logs each step's firings from the
 //      base snapshot on, and watches for the state to recur;
-//   3. on a recurrence with at least one firing in between (a steady period
+//   2. on a recurrence with at least one firing in between (a steady period
 //      of measured length δ), fast-forwards N whole periods at once: counters
 //      advance by N times the per-window delta, timestamps shift by K = N·δ,
 //      and every value the skipped windows would have produced (output
 //      elements, slot occupants, FIFO ring contents) is reconstructed — by
 //      sched::SteadyLoop on a straight-line all-real graph, and otherwise by
 //      replaying the logged window N times over a value-only copy of the
-//      slots and rings (replayWindow below).
+//      slots and rings (replayWindow below);
+//   3. rebuilds the time wheel from the shifted state with the routine a
+//      restore uses (SingleEngine::reseedWheel).
 //
 // Bit-identity argument.  The engine is deterministic, and its *timing*
 // trajectory depends on values only through control slots (a gate port or a
 // merge selector decides which destinations fill and which port is
 // consumed), through source limits and through expected-output counts.  The
-// canonical snapshot plus the pending-wake mirror is therefore exactly the
-// state that determines the next window's timing *given its control
-// values*.  The jump bound N keeps every source and every expected-output
-// count at least two windows away from its limit, and the replay is checked,
-// not trusted:
+// time wheel is derived state: every enabling edge is a function of the
+// slots, cell scalars and rings, and an extra examination changes nothing
+// (machine/engine_snapshot.hpp).  The canonical snapshot is therefore
+// exactly the state that determines the next window's timing *given its
+// control values*, and the wheel reseeded after a jump misses no firing of
+// the uninterrupted run.  The jump bound N keeps every source and every
+// expected-output count at least two windows away from its limit, and the
+// replay is checked, not trusted:
 //
 //   - it first replays the base window from the values captured at the base
 //     snapshot and must reproduce the live values at the recurrence;
@@ -42,11 +45,11 @@
 //     induction makes every skipped window's timing the base window's,
 //     shifted;
 //   - a mismatch or a ValueError in window w cuts the jump to w-1 windows
-//     (rolled back from a periodic replay checkpoint), so a control-pattern
-//     change, an interior division by zero or a divergent lane pack is then
-//     reached by the live event loop exactly as EventDriven reaches it.  A
-//     mismatch in the first window keeps the base, so a longer period can
-//     still be found.
+//     (replayed again from the values at the end of the base window), so a
+//     control-pattern change, an interior division by zero or a divergent
+//     lane pack is then reached by the live event loop exactly as
+//     EventDriven reaches it.  A mismatch in the first window keeps the
+//     base, so a longer period can still be found.
 //
 // Replayed values are computed by the engine's own rules (exec::applyPure,
 // SingleEngine::sourceValue, gate/merge routing as fire() does it), so
@@ -183,19 +186,8 @@ class CompiledDriver {
     }
   }
 
-  /// The wake log SingleEngine appends to; drained into the pending mirror
-  /// at every step.
-  std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeBuf = nullptr;
-
   void afterStep(const std::vector<std::uint32_t>& toFire) {
-    if (done_) return;
-    mirrorWakes();
-    // A composite FIFO may wake itself at or before the time it just fired
-    // at; the loop then re-examines that earlier time, finds the FIFO busy
-    // and fires nothing.  Only real instruction-time boundaries count.
-    if (e_.now <= lastStep_) return;
-    lastStep_ = e_.now;
-    if (!armed()) return;
+    if (done_ || !armed()) return;
     if (!haveBase_) {
       takeSnap(base_);
       setBase();
@@ -230,9 +222,6 @@ class CompiledDriver {
 
  private:
   static constexpr int kMaxAttempts = 16;
-  /// Skipped windows between replay checkpoints: a cut window rolls back to
-  /// the last checkpoint and replays forward at most this many windows.
-  static constexpr std::int64_t kCheckpointEvery = 32;
 
   bool armed() {
     if (armed_) return true;
@@ -242,35 +231,10 @@ class CompiledDriver {
     return armed_;
   }
 
-  /// Folds the wakes logged since the last step into pending_ (sorted by
-  /// time then cell, deduplicated — exactly the granularity at which the
-  /// wheel's content is observable, since push-side and pop-side dedupe
-  /// make duplicates invisible) and drops the wakes already due.
-  void mirrorWakes() {
-    fresh_.clear();
-    for (const auto& [cell, at] : *wakeBuf)
-      if (at > e_.now) fresh_.emplace_back(at, cell);
-    wakeBuf->clear();
-    const auto due = std::upper_bound(
-        pending_.begin(), pending_.end(),
-        std::pair<std::int64_t, std::uint32_t>(e_.now, UINT32_MAX));
-    pending_.erase(pending_.begin(), due);
-    if (fresh_.empty()) return;
-    std::sort(fresh_.begin(), fresh_.end());
-    const std::size_t old = pending_.size();
-    pending_.insert(pending_.end(), fresh_.begin(), fresh_.end());
-    std::inplace_merge(pending_.begin(),
-                       pending_.begin() + static_cast<std::ptrdiff_t>(old),
-                       pending_.end());
-    pending_.erase(std::unique(pending_.begin(), pending_.end()),
-                   pending_.end());
-  }
-
-  /// Stops looking for periods for the rest of the run and detaches the wake
-  /// mirror, so the remaining steps cost what EventDriven's do.
+  /// Stops looking for periods for the rest of the run, so the remaining
+  /// steps cost what EventDriven's do.
   void giveUp(const char* why) {
     done_ = true;
-    e_.wakeLog = nullptr;
     if (e_.result.compiled.reason.empty()) e_.result.compiled.reason = why;
   }
 
@@ -346,13 +310,6 @@ class CompiledDriver {
         w.push_back(canon(f.emitAt[static_cast<std::size_t>(
                               (f.accepted + i) % f.ring())],
                           -f.ring() * t.ackDelay));
-    }
-    // The pending-wake mirror is part of the state that drives the future:
-    // two snapshots only recur if the wheel holds the same future, shifted.
-    w.push_back(static_cast<std::int64_t>(pending_.size()));
-    for (const auto& [at, cell] : pending_) {
-      w.push_back(at - now);
-      w.push_back(static_cast<std::int64_t>(cell));
     }
   }
 
@@ -546,34 +503,22 @@ class CompiledDriver {
     if (!reproducesLive(v, baseOut)) return -1;
 
     replayedOut_.assign(outs, {});
-    Values checkpoint = v;
-    std::int64_t checkpointAt = 0;
-    std::int64_t good = 0;
-    for (std::int64_t w = 1; w <= nWin; ++w) {
-      if ((w - 1) % kCheckpointEvery == 0 && w > 1) {
-        checkpoint = v;
-        checkpointAt = w - 1;
-      }
-      bool ok = false;
+    const auto nextWindow = [&] {
       try {
-        ok = replayWindow(v, /*record=*/false, replayedOut_);
+        return replayWindow(v, /*record=*/false, replayedOut_);
       } catch (const ValueError&) {
-        ok = false;
+        return false;
       }
-      if (!ok) break;
-      good = w;
-    }
+    };
+    std::int64_t good = 0;
+    while (good < nWin && nextWindow()) ++good;
     if (good == nWin || good == 0) return good;
-    // Window good+1 departed: roll back to the checkpoint and replay the
-    // verified windows after it again.
-    v = std::move(checkpoint);
-    for (std::size_t oi = 0; oi < outs; ++oi) {
-      const std::uint32_t o = outputCells_[oi];
-      replayedOut_[oi].resize(static_cast<std::size_t>(
-          checkpointAt * static_cast<std::int64_t>(cur_.firings[o] -
-                                                   base_.firings[o])));
-    }
-    for (std::int64_t w = checkpointAt + 1; w <= good; ++w)
+    // Window good+1 departed part-way through: replay the verified windows
+    // again from the values at the end of the base window, which are the
+    // live machine's (reproducesLive just matched them).
+    captureValues(v);
+    replayedOut_.assign(outs, {});
+    for (std::int64_t w = 1; w <= good; ++w)
       replayWindow(v, /*record=*/false, replayedOut_);
     return good;
   }
@@ -803,20 +748,12 @@ class CompiledDriver {
       }
     }
 
-    // Rebuild the wheel from the mirror at the shifted times.  Every pending
-    // wake targets (t1, t1 + horizon], so every rebuilt one targets
-    // (tNew, tNew + horizon] — nothing lands at tNew itself (a wake at the
-    // current time would examine cells one step early) and nothing aliases.
-    e_.rq->clear();
-    for (auto& [at, cell] : pending_) {
-      at += K;
-      e_.rq->wake(cell, at);
-    }
-
     e_.lastFire_ += K;  // exact: the window contained a firing, so the
                         // replayed trajectory's last firing shifts by K
     e_.now = tNew;
-    lastStep_ = tNew;
+    // The pre-jump wheel's entries would alias post-jump buckets; rebuild it
+    // from the shifted state, as a restore does.
+    e_.reseedWheel();
     if (e_.gst) {
       e_.grd.onCompiledCheckpoint(e_.now);
       for (std::uint32_t c : composites_) {
@@ -852,10 +789,6 @@ class CompiledDriver {
   std::vector<char> isControl_;             ///< per slot: a control port
   std::vector<Kind> kind_;                  ///< per cell
   std::vector<char> feedsControl_;          ///< per cell: a dest is control
-  /// Mirror of the wheel's future content: (wake time, cell), see
-  /// mirrorWakes().
-  std::vector<std::pair<std::int64_t, std::uint32_t>> pending_, fresh_;
-  std::int64_t lastStep_ = -1;  ///< last real instruction time processed
   std::int64_t horizon_ = 0;
   std::int64_t arm_ = 0;
   std::int64_t maxSpan_ = 0;
@@ -920,14 +853,10 @@ void runCompiled(SingleEngine& e) {
   }
 
   CompiledDriver drv(e, ss);
-  std::vector<std::pair<std::uint32_t, std::int64_t>> buf;
-  drv.wakeBuf = &buf;
-  e.wakeLog = &buf;
   e.runEventLoop(
       [&drv](const std::vector<std::uint32_t>& toFire) {
         drv.afterStep(toFire);
       });
-  e.wakeLog = nullptr;
 }
 
 }  // namespace valpipe::machine::detail

@@ -103,11 +103,6 @@ struct SingleEngine {
   const dfg::Graph* lowered = nullptr;  ///< for the stall diagnosis
   std::optional<guard::State> gst;
 
-  /// When set, every wake() is also appended here (cell, at).  The compiled
-  /// scheduler mirrors the wheel's pending set through this log so it can
-  /// rebuild the wheel — shifted in time — after a bulk fast-forward.
-  std::vector<std::pair<std::uint32_t, std::int64_t>>* wakeLog = nullptr;
-
   /// Instruction time of the most recent firing (-1 before any), maintained
   /// by the run loop; part of the quiescence decision and therefore part of
   /// the state a fast-forward (or a snapshot) must carry.
@@ -191,14 +186,26 @@ struct SingleEngine {
     }
   }
 
-  /// Schedules `cell` for examination at `at` (and mirrors the wake into
-  /// wakeLog when the compiled scheduler is watching).
+  /// Schedules `cell` for examination at `at`.
   void wake(std::uint32_t cell, std::int64_t at) {
-    // rq is always set while a run loop wakes cells.  The test stays for the
-    // code it shapes: without it GCC 12 inlines wake() into runEventLoop, and
-    // the plain event loop ran ~6% slower on fig5 (4-core x86 VM, -O3).
+    // rq is always set while a run loop wakes cells.  The test stays on
+    // measurement: removing it once changed GCC 12's inlining of wake() into
+    // runEventLoop and slowed the plain event loop ~6% on fig5 (4-core x86
+    // VM, -O3).  Re-measure before removing it.
     if (rq) rq->wake(cell, at);
-    if (wakeLog) wakeLog->emplace_back(cell, at);
+  }
+
+  /// Rebuilds the wheel from the materialized state at boundary `now`: a
+  /// restore seeds its fresh wheel this way, and the compiled scheduler's
+  /// jump reseeds after shifting the state (see engine_snapshot.hpp for why
+  /// the rebuilt wake set is exact).
+  void reseedWheel() {
+    rq->clear();
+    seedRestoreWakes(eg, slots.data(), cellDyn.data(), fifoDyn.data(),
+                     fifoTiming(), now, wakeHorizon(),
+                     [this](std::uint32_t c, std::int64_t at) {
+                       rq->wake(c, at);
+                     });
   }
 
   // --- firing discipline --------------------------------------------------
@@ -414,9 +421,15 @@ struct SingleEngine {
       wake(c, now + t.period());
     }
     grd.onFifoFire(c, eg.slotOf(cl, 0), f.accepted, f.emitted, f.depth, now);
-    // The next head token becomes emittable with no external event.
-    if (f.count > 0)
-      wake(c, std::max(f.readyAt[f.head], f.lastEmit + t.period()));
+    // The next head token becomes emittable with no external event.  A
+    // maturation time at or before `now` means the head could have emitted
+    // this step and did not: the FIFO is blocked on its destinations, and
+    // the acknowledge that frees them wakes it.
+    if (f.count > 0) {
+      const std::int64_t at =
+          std::max(f.readyAt[f.head], f.lastEmit + t.period());
+      if (at > now) wake(c, at);
+    }
     if (!consumedAny && !deliveredAny) wake(c, now + 1);
   }
 
@@ -581,9 +594,10 @@ struct SingleEngine {
   ///
   /// `afterStep(toFire)` runs once per examined instruction time, after
   /// phase B (and the lastFire_ update) and before the completion check.
-  /// The hook may mutate the whole engine — including `now` and the wheel —
-  /// which is exactly what the compiled scheduler's fast-forward does; the
-  /// plain event-driven run passes a no-op that the compiler erases.
+  /// The hook may mutate the whole engine — moving `now` forward and
+  /// reseeding the wheel — which is exactly what the compiled scheduler's
+  /// fast-forward does; the plain event-driven run passes a no-op that the
+  /// compiler erases.
   template <class StepHook>
   void runEventLoop(StepHook&& afterStep) {
     const std::size_t n = eg.size();
@@ -593,16 +607,14 @@ struct SingleEngine {
     const std::int64_t hzn = wakeHorizon();
     exec::ReadyQueue queue(n, hzn);
     rq = &queue;
+    // The clock only moves forward: each examined step lies after the one
+    // before.  A fresh run's first step is 0; a restored run's lies after
+    // the snapshot's boundary, and a jump's after its target.
+    std::int64_t prevStep = opts.restoreFrom ? now : -1;
     if (opts.restoreFrom) {
       // State was seeded by restoreSingle (now / lastFire_ included); rebuild
-      // the wake set from it instead of capturing wheels in snapshots — see
-      // engine_snapshot.hpp for why that reconstruction is exact.
-      queue.advanceTo(now);
-      seedRestoreWakes(eg, slots.data(), cellDyn.data(), fifoDyn.data(),
-                       fifoTiming(), now, hzn,
-                       [this](std::uint32_t c, std::int64_t at) {
-                         wake(c, at);
-                       });
+      // the wake set from it instead of capturing wheels in snapshots.
+      reseedWheel();
       if (stop.outputsComplete()) {  // snapshot taken at the final boundary
         result.completed = true;
         ++now;
@@ -647,6 +659,7 @@ struct SingleEngine {
         break;
       }
       now = queue.pop(cand);
+      VALPIPE_CHECK_MSG(now > prevStep, "event loop stepped back in time");
 
       // Rotating priority: same scan order as the rescan starting at now % n.
       const std::uint32_t start =
@@ -699,6 +712,7 @@ struct SingleEngine {
 
       if (!toFire.empty()) lastFire_ = now;
       afterStep(toFire);
+      prevStep = now;  // after the hook, which may jump the clock
       maybeCheckpoint();
       if (stop.outputsComplete()) {
         result.completed = true;

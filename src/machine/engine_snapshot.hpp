@@ -11,7 +11,9 @@
 //   scanClean                       — the kLostPacket poison scan deciding
 //                                     Snapshot::clean;
 //   seedRestoreWakes                — reconstruction of the event-driven
-//                                     wake set from materialized state.
+//                                     wake set from materialized state,
+//                                     for a restore and after a Compiled
+//                                     jump (SingleEngine::reseedWheel).
 //
 // Why wake reconstruction is sound.  The Reference stepper rescans every
 // cell at every instruction time and is bit-identical to EventDriven (the
@@ -31,6 +33,13 @@
 // have had are harmless by the same full-rescan argument — they may
 // add obs probe `denied` events, which are deliberately outside the
 // MachineResult equivalence contract.
+//
+// The argument covers the Compiled scheduler's jump as well.  A jump leaves
+// the engine in the state the uninterrupted run reaches at the target time
+// (every timestamp shifted by whole periods), and nothing in that state
+// refers to the wheel, so reseeding from it is exactly a restore at the
+// target.  The compiled run therefore keeps no copy of the wheel, and a
+// checkpoint captured after a jump is an ordinary snapshot.
 #pragma once
 
 #include <algorithm>
@@ -104,7 +113,8 @@ inline bool scanClean(const std::vector<recover::SlotImage>& slots) {
 }
 
 /// Reseeds the wake set of an event-driven wheel from materialized state at
-/// boundary `now` (see the soundness argument in the file comment).  Emits
+/// boundary `now` — a restore, or the end of a compiled jump (see the
+/// soundness argument in the file comment).  Emits
 /// (cell, at) pairs through `wakeFn`; targeted wakes beyond `now + horizon`
 /// are clamped to the horizon, where the ordinary phase-A retry chain takes
 /// over, exactly as live outage wakes chain.

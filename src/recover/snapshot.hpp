@@ -20,6 +20,9 @@
 // cell every instruction time and is bit-identical to EventDriven.
 // Restore therefore reseeds a conservative wake set from state alone
 // (machine/engine_snapshot.hpp) instead of serializing scheduler internals.
+// The Compiled scheduler rebuilds its wheel after a jump with the same
+// routine, so a snapshot captured after a jump is an ordinary one and
+// resumes on every scheduler.
 //
 // A snapshot is `clean` when no slot carries the fault::kLostPacket poison
 // stamp of a dropped packet: a clean snapshot precedes every destructive

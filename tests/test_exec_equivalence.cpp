@@ -33,6 +33,9 @@ using testing::ProgramGen;
 using testing::randomArray;
 
 using testing::expectIdentical;
+using testing::FigureProgram;
+using testing::figureInputs;
+using testing::replayFigures;
 
 /// Runs all three schedulers on the same workload and checks EventDriven and
 /// Compiled against the reference stepper field-by-field.  Compiled rides
@@ -332,38 +335,6 @@ TEST_F(CompiledScheduler, ObservabilitySinksDisableFastForwardButStayIdentical) 
   EXPECT_FALSE(cp.compiled.fastForwarded);
   EXPECT_NE(cp.compiled.reason.find("observability"), std::string::npos)
       << cp.compiled.reason;
-}
-
-/// The figure programs whose control is compile-time (§5 selection, §6
-/// boundary merge, §7 loop control), compiled at `m`.
-struct FigureProgram {
-  std::string name;
-  core::CompiledProgram prog;
-};
-
-std::vector<FigureProgram> replayFigures(int m) {
-  CompileOptions todd, companion;
-  todd.forIterScheme = ForIterScheme::Todd;
-  companion.forIterScheme = ForIterScheme::Companion;
-  companion.companionSkip = 4;
-  std::vector<FigureProgram> out;
-  out.push_back({"fig3", core::compileSource(testing::figure3Source(m))});
-  out.push_back({"fig4", core::compileSource(testing::selectionSource(m))});
-  out.push_back({"fig6", core::compileSource(testing::example1Source(m))});
-  out.push_back(
-      {"fig7-todd", core::compileSource(testing::example2Source(m), todd)});
-  out.push_back({"fig8-companion",
-                 core::compileSource(testing::example2Source(m), companion)});
-  return out;
-}
-
-/// Inputs in (-0.9, 0.9) for every parameter, so recurrences stay bounded.
-run::StreamMap figureInputs(const core::CompiledProgram& prog, unsigned seed) {
-  val::ArrayMap in;
-  unsigned k = 0;
-  for (const auto& [name, range] : prog.inputs)
-    in[name] = randomArray(range, seed + 100 * k++, -0.9, 0.9);
-  return testing::inputsFor(prog, in);
 }
 
 RunOptions expectWaves(const core::CompiledProgram& prog, int waves) {

@@ -1,8 +1,9 @@
 // Unit tests for the event-driven scheduler's ReadyQueue time wheel —
-// including a regression pin for the below-cursor wake() snap-back (a
-// restore or the compiled scheduler's wheel rebuild can wake a cell behind a
-// cursor nextTime() already scanned forward; scanning from the stale cursor
-// would miss or alias it).
+// including regression pins for the cursor placement in wake(): the first
+// wake into an empty wheel places the cursor (a restore or a compiled
+// scheduler jump reseeds a cleared wheel far from where it stood), and a
+// wake behind a cursor nextTime() already scanned forward snaps it back.
+// Scanning from a stale cursor would miss or alias the entry.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -59,14 +60,14 @@ TEST(ReadyQueue, WakeBelowCursorWhileNonEmptyStaysExact) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
 }
 
-TEST(ReadyQueue, AdvanceToSkipsGloballyActiveStretch) {
+TEST(ReadyQueue, FirstWakeIntoEmptyWheelPlacesCursor) {
   ReadyQueue q(/*cells=*/2, /*horizon=*/8);
   std::vector<std::uint32_t> out;
   q.wake(0, 2);
   EXPECT_EQ(q.pop(out), 2);
-  // Resume far past the ring size, as a restore from a snapshot does.
-  q.advanceTo(1000);
-  q.wake(1, 1003);  // within horizon of the advanced cursor
+  // Resume far past the ring size, as a restore or a jump reseeds the
+  // wheel: the first wake into the empty wheel moves the cursor there.
+  q.wake(1, 1003);
   EXPECT_EQ(q.nextTime(), 1003);
   EXPECT_EQ(q.pop(out), 1003);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1}));

@@ -7,7 +7,8 @@
 //   * exact resume — run to a mid-run boundary, snapshot, serialize,
 //     deserialize, restore into a fresh engine and run to the end: the
 //     result is field-identical to the uninterrupted run, on every scheduler
-//     and both FIFO lowerings (expanded chains and fused composites);
+//     and both FIFO lowerings (expanded chains and fused composites),
+//     including checkpoints the Compiled scheduler took after a jump;
 //   * recovery — under each destructive fault class the supervisor restores
 //     the last clean snapshot (or restarts), strips the destructive classes,
 //     and finishes with a result fully bit-identical to the fault-free run,
@@ -28,6 +29,7 @@
 #include "generators.hpp"
 #include "guard/guard.hpp"
 #include "machine/engine.hpp"
+#include "opt/fuse.hpp"
 #include "recover/snapshot.hpp"
 #include "recover/supervisor.hpp"
 #include "support/check.hpp"
@@ -137,6 +139,78 @@ TEST(RecoverSnapshot, RestoreResumesBitIdentically) {
         const MachineResult resumed =
             machine::simulate(g, MachineConfig::unit(), w.streams, ropts);
         testing::expectIdentical(resumed, ref, what + " (resumed)");
+      }
+    }
+  }
+}
+
+// A Compiled run's jump shifts the whole state in one step and rebuilds the
+// wheel from it; a checkpoint captured at or after the jump must resume to
+// the uninterrupted run's result on every scheduler.
+TEST(RecoverSnapshot, CompiledJumpCheckpointsResumeOnEveryScheduler) {
+  const int m = 512;
+  // A straight-line forall takes the steady-loop value path; fig6, fig7
+  // Todd and fig8 companion replay their steady window.
+  const std::string straightLine = "const m = " + std::to_string(m) + R"(
+function f(A, B: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct 0.5 * (A[i] + B[i]) * A[i]
+  endall
+endfun
+)";
+  std::vector<testing::FigureProgram> progs;
+  progs.push_back({"straight-line", core::compileSource(straightLine)});
+  for (testing::FigureProgram& fp : testing::replayFigures(m))
+    if (fp.name != "fig3" && fp.name != "fig4") progs.push_back(std::move(fp));
+
+  for (const testing::FigureProgram& fp : progs) {
+    const dfg::Graph g = opt::fuseFifos(fp.prog.graph);
+    const run::StreamMap in = testing::figureInputs(fp.prog, 61);
+    for (const bool hardware : {false, true}) {
+      const MachineConfig cfg =
+          hardware ? MachineConfig::hardware() : MachineConfig::unit();
+      const std::string what = fp.name + (hardware ? " hardware" : " unit");
+      RunOptions opts;
+      opts.expectedOutputs[fp.prog.outputName] =
+          fp.prog.expectedOutputPerWave();
+      opts.scheduler = SchedulerKind::Compiled;
+      const MachineResult ref = machine::simulate(g, cfg, in, opts);
+      ASSERT_TRUE(ref.completed) << what << ": " << ref.note;
+
+      CheckpointLog log;
+      log.keepAll = true;
+      RunOptions copts = opts;
+      copts.checkpointEvery = 16;
+      copts.checkpoints = &log;
+      const MachineResult observed = machine::simulate(g, cfg, in, copts);
+      testing::expectIdentical(observed, ref, what + " (checkpointed)");
+      const MachineResult::CompiledInfo& info = observed.compiled;
+      ASSERT_TRUE(info.fastForwarded) << what << ": " << info.reason;
+
+      // A jump moves the clock by its skipped instruction times in one step,
+      // and the checkpoint then due is taken at its target: find the first
+      // snapshot at least one jump's length past its predecessor.
+      const std::vector<Snapshot>& all = log.all();
+      const std::int64_t jumpLength = info.cyclesSkipped / info.jumps;
+      std::size_t first = 0;
+      while (first < all.size() &&
+             all[first].now - (first > 0 ? all[first - 1].now : 0) <
+                 jumpLength)
+        ++first;
+      ASSERT_LT(first, all.size())
+          << what << ": no checkpoint at or after the jump";
+
+      for (std::size_t i = first; i < all.size(); ++i) {
+        const Snapshot back = recover::deserialize(recover::serialize(all[i]));
+        for (SchedulerKind k : kAllSchedulers) {
+          RunOptions ropts = opts;
+          ropts.scheduler = k;
+          ropts.restoreFrom = &back;
+          testing::expectIdentical(
+              machine::simulate(g, cfg, in, ropts), ref,
+              what + " resumed at t=" + std::to_string(all[i].now) + " on " +
+                  schedName(k));
+        }
       }
     }
   }
@@ -304,8 +378,9 @@ TEST(RecoverSupervisor, DestructiveFaultsRecoverBitIdentically) {
         const MachineResult raw = machine::simulate(
             w.expanded, MachineConfig::unit(), w.streams, rawOpts);
         failed = !raw.completed;
-        if (raw.completed)
+        if (raw.completed) {
           EXPECT_EQ(raw.outputs, ref.outputs) << what << " (untriggered)";
+        }
       } catch (const run::StallError&) {
         failed = true;
       } catch (const guard::ViolationError&) {

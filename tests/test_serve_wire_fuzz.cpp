@@ -179,10 +179,11 @@ TEST(ServeWireFuzz, EveryTruncationParsesOrDiagnoses) {
       mustNotCrash(cut, "truncation at " + std::to_string(len));
       // A strict prefix must NOT parse as a client message: the decoder
       // rejects both missing bytes and (for the full length) trailing ones.
-      if (len < payload.size())
+      if (len < payload.size()) {
         EXPECT_THROW(serve::parseClient(cut.data(), cut.size()),
                      serve::ProtocolError)
             << "prefix of length " << len << " decoded";
+      }
     }
 }
 

@@ -94,6 +94,28 @@ endfun
 )";
 }
 
+/// The figure programs whose control is compile-time (§5 selection, §6
+/// boundary merge, §7 loop control), compiled at `m`.
+struct FigureProgram {
+  std::string name;
+  core::CompiledProgram prog;
+};
+
+inline std::vector<FigureProgram> replayFigures(int m) {
+  core::CompileOptions todd, companion;
+  todd.forIterScheme = core::ForIterScheme::Todd;
+  companion.forIterScheme = core::ForIterScheme::Companion;
+  companion.companionSkip = 4;
+  std::vector<FigureProgram> out;
+  out.push_back({"fig3", core::compileSource(figure3Source(m))});
+  out.push_back({"fig4", core::compileSource(selectionSource(m))});
+  out.push_back({"fig6", core::compileSource(example1Source(m))});
+  out.push_back({"fig7-todd", core::compileSource(example2Source(m), todd)});
+  out.push_back({"fig8-companion",
+                 core::compileSource(example2Source(m), companion)});
+  return out;
+}
+
 /// One numeric `/proc/self/status` field: VmSize and VmRSS in KiB, Threads
 /// as a count; -1 if absent.
 inline long procStatus(const std::string& field) {
@@ -129,6 +151,16 @@ inline run::StreamMap inputsFor(const core::CompiledProgram& prog,
     else in[name] = it->second.elems;
   }
   return in;
+}
+
+/// Inputs in (-0.9, 0.9) for every parameter, so recurrences stay bounded.
+inline run::StreamMap figureInputs(const core::CompiledProgram& prog,
+                                   unsigned seed) {
+  val::ArrayMap in;
+  unsigned k = 0;
+  for (const auto& [name, range] : prog.inputs)
+    in[name] = randomArray(range, seed + 100 * k++, -0.9, 0.9);
+  return inputsFor(prog, in);
 }
 
 inline void expectStreamNear(const std::vector<Value>& got,
