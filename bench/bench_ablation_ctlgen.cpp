@@ -45,21 +45,9 @@ Row measure(const std::string& src, bool lowerCtl,
   return {stats.cells, gens, bench::measureRate(prog, in).steadyRate};
 }
 
-void BM_LoweredExample1(benchmark::State& state) {
-  core::CompileOptions opts;
-  opts.lowerControl = true;
-  const auto prog = core::compileSource(ex1Source(state.range(0)), opts);
-  const auto in = bench::randomInputs(prog, 71);
-  for (auto _ : state) {
-    auto r = bench::measureRate(prog, in);
-    benchmark::DoNotOptimize(r.cycles);
-  }
-}
-BENCHMARK(BM_LoweredExample1)->Arg(256)->Arg(1024);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "A1 (ablation, §5/Todd [15])",
@@ -91,5 +79,5 @@ int main(int argc, char** argv) {
                   fmtDouble(abstract.rate, 4), fmtDouble(lowered.rate, 4)});
   }
   std::printf("%s\n", table.str().c_str());
-  return bench::runTimings(argc, argv);
+  return 0;
 }

@@ -37,21 +37,9 @@ Row measure(std::int64_t m, int k) {
           res.cycles};
 }
 
-void BM_CompanionCompile(benchmark::State& state) {
-  core::CompileOptions opts;
-  opts.forIterScheme = core::ForIterScheme::Companion;
-  opts.companionSkip = static_cast<int>(state.range(0));
-  const std::string src = bench::example2Source(1024);
-  for (auto _ : state) {
-    auto prog = core::compileSource(src, opts);
-    benchmark::DoNotOptimize(prog.graph.size());
-  }
-}
-BENCHMARK(BM_CompanionCompile)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "C5 (Section 7 trade-off)",
@@ -79,5 +67,5 @@ int main(int argc, char** argv) {
   emit(base);
   for (int k : {2, 4, 8, 16}) emit(measure(m, k));
   std::printf("%s\n", table.str().c_str());
-  return bench::runTimings(argc, argv);
+  return 0;
 }

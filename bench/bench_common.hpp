@@ -1,16 +1,28 @@
 // Shared harness for the experiment benches.
 //
 // Every bench binary reproduces one figure or quantitative claim of the
-// paper: it prints a paper-vs-measured table (the experiment proper), then
-// hands over to google-benchmark for wall-clock timings of the simulator /
-// compiler machinery involved.  Binaries run with no arguments.
+// paper: it prints a paper-vs-measured table (the experiment proper), and
+// the wall-clock benches add timings of the simulator, compiler or server
+// machinery involved.  Binaries take no arguments.
+//
+// Every wall-clock number a bench prints comes from one timer,
+// timeInterleaved: an untimed warm-up run of each variant, then kRounds
+// rounds that each run every variant once, the variant that goes first
+// rotating from round to round, so drift in the host's speed lands on every
+// variant alike.  A variant whose warm-up is shorter than
+// kSampleFloorSeconds repeats back to back inside each sample.  A bench
+// reports each variant's median sample, and for a pair of variants the
+// median, min and max of the per-round ratios; every gate reads the median
+// ratio, and every gated bench exits 1 when a gate or an identity check
+// fails.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <random>
@@ -100,6 +112,129 @@ inline const char* schedulerName(machine::SchedulerKind k) {
   return "?";
 }
 
+/// What timing faults must leave unchanged (DESIGN §9): they move packets
+/// in time only, so outputs, firings and packet counters stay the same.
+inline bool sameWork(const machine::MachineResult& a,
+                     const machine::MachineResult& b) {
+  return a.outputs == b.outputs && a.firings == b.firings &&
+         a.totalFirings == b.totalFirings &&
+         a.packets.opPacketsByClass == b.packets.opPacketsByClass &&
+         a.packets.resultPackets == b.packets.resultPackets &&
+         a.packets.ackPackets == b.packets.ackPackets &&
+         a.packets.networkResultPackets == b.packets.networkResultPackets;
+}
+
+/// Bit-identity across everything a client of a run could observe: the
+/// work above plus output times, cycles and completion.
+inline bool identical(const machine::MachineResult& a,
+                      const machine::MachineResult& b) {
+  return sameWork(a, b) && a.outputTimes == b.outputTimes &&
+         a.cycles == b.cycles && a.completed == b.completed;
+}
+
+/// Rounds of every interleaved timing, and the shortest sample: constants
+/// shared by every bench, so no ledger row is timed differently.
+inline constexpr int kRounds = 9;
+inline constexpr double kSampleFloorSeconds = 0.020;
+
+/// One variant of an interleaved timing.  `run` is the timed work; `setup`,
+/// when set, runs before every run outside the timed span (a fresh server,
+/// a fresh copy of a graph the run mutates).
+struct Variant {
+  std::function<void()> run;
+  std::function<void()> setup;
+};
+
+/// Median, min and max of a set of samples.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread spreadOf(std::vector<double> v) {
+  Spread s;
+  if (v.empty()) return s;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  s.min = v.front();
+  s.max = v.back();
+  s.median = n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  return s;
+}
+
+/// What timeInterleaved measured.
+struct Timing {
+  std::vector<int> runsPerSample;  ///< per variant, fixed at warm-up
+  /// samples[variant][round]: seconds per run in that round's sample.
+  std::vector<std::vector<double>> samples;
+
+  /// The variant's median seconds per run.
+  double seconds(std::size_t v) const { return spreadOf(samples[v]).median; }
+
+  /// Per-round ratios samples[num][r] / samples[den][r]: a ratio above 1
+  /// means `num` ran slower in that round.
+  Spread ratio(std::size_t num, std::size_t den) const {
+    std::vector<double> r;
+    for (std::size_t i = 0; i < samples[num].size(); ++i)
+      r.push_back(samples[num][i] / samples[den][i]);
+    return spreadOf(std::move(r));
+  }
+};
+
+inline double steadySeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// The interleaved timer (see the header comment).  `clock` reads seconds;
+/// tests pass a fake one.
+inline Timing timeInterleaved(
+    const std::vector<Variant>& variants,
+    const std::function<double()>& clock = steadySeconds) {
+  auto timeRuns = [&](const Variant& v, int runs) {
+    double total = 0.0;
+    for (int i = 0; i < runs; ++i) {
+      if (v.setup) v.setup();
+      const double t0 = clock();
+      v.run();
+      total += clock() - t0;
+    }
+    return total / runs;
+  };
+  const std::size_t n = variants.size();
+  Timing t;
+  t.runsPerSample.assign(n, 1);
+  t.samples.assign(n, {});
+  for (std::size_t v = 0; v < n; ++v) {
+    const double warm = timeRuns(variants[v], 1);
+    if (warm > 0.0 && warm < kSampleFloorSeconds)
+      t.runsPerSample[v] =
+          static_cast<int>(std::ceil(kSampleFloorSeconds / warm));
+  }
+  for (int r = 0; r < kRounds; ++r)
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t v = (static_cast<std::size_t>(r) + k) % n;
+      t.samples[v].push_back(timeRuns(variants[v], t.runsPerSample[v]));
+    }
+  return t;
+}
+
+/// A timer variant that simulates `lowered` on the unit profile with `opts`
+/// and keeps the result in `out`; the previous result is released before the
+/// clock starts.
+inline Variant simulateVariant(const dfg::Graph& lowered,
+                               const run::StreamMap& inputs,
+                               machine::RunOptions opts,
+                               machine::MachineResult& out) {
+  return {[&lowered, &inputs, opts = std::move(opts), &out] {
+            out = machine::simulate(lowered, machine::MachineConfig::unit(),
+                                    inputs, opts);
+          },
+          [&out] { out = machine::MachineResult{}; }};
+}
+
 /// Compiler + flags this binary was built with, as one human-readable
 /// string ("g++ 13.2.0, optimized, NDEBUG").  Stamped into every report so
 /// wall-clock numbers carry their build provenance.
@@ -125,6 +260,17 @@ inline std::string buildOptions() {
 #endif
   s += ", C++" + std::to_string((__cplusplus / 100) % 100);
   return s;
+}
+
+/// `git describe --always --dirty` of the source tree, captured when CMake
+/// configured this build (bench/CMakeLists.txt); bench/ledger.sh
+/// reconfigures before every run, so a ledger names the commit it measured.
+inline const char* commitStamp() {
+#ifdef VALPIPE_COMMIT
+  return VALPIPE_COMMIT;
+#else
+  return "unknown";
+#endif
 }
 
 /// One JSON object built key by key (row of a BenchJson report).
@@ -160,7 +306,21 @@ struct JsonObj {
   JsonObj& add(const std::string& k, bool v) {
     return raw(k, v ? "true" : "false");
   }
-  std::string str() const { return "{" + body.str() + "}"; }
+  /// A ratio over the interleaved rounds: {"median", "min", "max", "rounds"}.
+  JsonObj& add(const std::string& k, const Spread& s) {
+    return raw(k, JsonObj()
+                      .add("median", s.median)
+                      .add("min", s.min)
+                      .add("max", s.max)
+                      .add("rounds", kRounds)
+                      .str());
+  }
+  std::string str() const {
+    std::string s = "{";
+    s += body.str();
+    s += '}';
+    return s;
+  }
 };
 
 /// Machine-readable bench report: BENCH_<name>.json with the bench name,
@@ -186,6 +346,7 @@ class BenchJson {
     top_.add("threads_used", threadsUsed);
     top_.add("scheduler", schedulerName(scheduler));
     top_.add("build", buildOptions());
+    top_.add("commit", commitStamp());
   }
 
   /// Extra top-level field (workload description, audit line, ...).
@@ -259,17 +420,6 @@ inline void banner(const char* id, const char* what, const char* expectation) {
   std::printf("%s — %s\n", id, what);
   std::printf("paper expectation: %s\n", expectation);
   std::printf("==============================================================\n");
-}
-
-/// Runs google-benchmark with the binary's own argv (so `--benchmark_*`
-/// flags still work) after the experiment tables have been printed.
-inline int runTimings(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  std::printf("\n-- wall-clock timings of the machinery involved --\n");
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace valpipe::bench

@@ -9,13 +9,13 @@
 // vectorized steady-loop value path; fig3, fig4, fig6, fig7 and fig8, whose
 // gates and merges are driven by compile-time sequences, replay the
 // recorded steady window; fig5's gates follow the data, so it declines to
-// the event loop with a structured reason.  Gates: fig2 >= 10x, the replay
-// rows >= 2.5x, and every row bit-identical to the event-driven run
-// (outputs, output times, firings, cycles and packet counters).  Exits 1
-// when a gate fails.
+// the event loop with a structured reason.  Each row times the two
+// schedulers with bench::timeInterleaved; its speed-up is the median of the
+// per-round EventDriven / Compiled time ratios.  Gates: that median
+// >= 10x on fig2 and >= 2.5x on the replay rows, and every row bit-identical
+// to the event-driven run (bench::identical: outputs, output times,
+// firings, cycles and packet counters).  Exits 1 when a gate fails.
 #include "bench_common.hpp"
-
-#include <chrono>
 
 #include "dfg/graph.hpp"
 #include "exec/executable_graph.hpp"
@@ -169,66 +169,6 @@ std::vector<Workload> workloads(std::int64_t m) {
   return all;
 }
 
-struct Timed {
-  machine::MachineResult res;
-  double seconds = 0.0;
-};
-
-Timed runTimed(const Workload& w, SchedulerKind kind, int reps = 5) {
-  machine::RunOptions opts = w.opts;
-  opts.scheduler = kind;
-  Timed best;
-  best.seconds = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res = machine::simulate(
-        w.lowered, machine::MachineConfig::unit(), w.inputs, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best.seconds) best = {std::move(res), s};
-  }
-  return best;
-}
-
-/// Bit-identity across everything a client could observe.
-bool identical(const machine::MachineResult& a,
-               const machine::MachineResult& b) {
-  return a.outputs == b.outputs && a.outputTimes == b.outputTimes &&
-         a.firings == b.firings && a.totalFirings == b.totalFirings &&
-         a.cycles == b.cycles && a.completed == b.completed &&
-         a.packets.opPacketsByClass == b.packets.opPacketsByClass &&
-         a.packets.resultPackets == b.packets.resultPackets &&
-         a.packets.ackPackets == b.packets.ackPackets &&
-         a.packets.networkResultPackets == b.packets.networkResultPackets;
-}
-
-void BM_CompiledFig2(benchmark::State& state) {
-  Workload w;
-  w.name = "fig2";
-  w.lowered = figure2Graph(state.range(0));
-  w.inputs = {{"a", bench::randomStream(state.range(0), 1)},
-              {"b", bench::randomStream(state.range(0), 2)}};
-  w.opts.expectedOutputs["x"] = state.range(0);
-  for (auto _ : state) {
-    auto t = runTimed(w, SchedulerKind::Compiled, 1);
-    benchmark::DoNotOptimize(t.res.cycles);
-  }
-}
-void BM_EventFig2(benchmark::State& state) {
-  Workload w;
-  w.name = "fig2";
-  w.lowered = figure2Graph(state.range(0));
-  w.inputs = {{"a", bench::randomStream(state.range(0), 1)},
-              {"b", bench::randomStream(state.range(0), 2)}};
-  w.opts.expectedOutputs["x"] = state.range(0);
-  for (auto _ : state) {
-    auto t = runTimed(w, SchedulerKind::EventDriven, 1);
-    benchmark::DoNotOptimize(t.res.cycles);
-  }
-}
-BENCHMARK(BM_CompiledFig2)->Arg(1024)->Arg(4096)->Arg(16384);
-BENCHMARK(BM_EventFig2)->Arg(1024)->Arg(4096)->Arg(16384);
-
 }  // namespace
 
 std::string gateText(double minSpeedup) {
@@ -245,7 +185,7 @@ const char* valuePath(const machine::MachineResult::CompiledInfo& ci) {
                          : "none";
 }
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   const std::int64_t m = 4096;
   bench::banner(
@@ -262,32 +202,40 @@ int main(int argc, char** argv) {
                    "speedup", "gate", "path", "ff share", "same"});
   bool allPass = true;
   for (const Workload& w : workloads(m)) {
-    const Timed ed = runTimed(w, SchedulerKind::EventDriven);
-    const Timed cp = runTimed(w, SchedulerKind::Compiled);
-    const bool same = identical(ed.res, cp.res);
-    const double speedup = ed.seconds / cp.seconds;
-    const bool pass = same && speedup >= w.minSpeedup;
+    machine::RunOptions edOpts = w.opts;
+    edOpts.scheduler = SchedulerKind::EventDriven;
+    machine::RunOptions cpOpts = w.opts;
+    cpOpts.scheduler = SchedulerKind::Compiled;
+    machine::MachineResult ed, cp;
+    const bench::Timing t = bench::timeInterleaved(
+        {bench::simulateVariant(w.lowered, w.inputs, edOpts, ed),
+         bench::simulateVariant(w.lowered, w.inputs, cpOpts, cp)});
+    const bool same = bench::identical(ed, cp);
+    const bench::Spread speedup = t.ratio(0, 1);
+    const bool pass = same && speedup.median >= w.minSpeedup;
     allPass = allPass && pass;
-    const auto& ci = cp.res.compiled;
+    const auto& ci = cp.compiled;
     const sched::SteadySchedule ss =
         sched::computeSteadySchedule(exec::ExecutableGraph(w.lowered));
     const double ffShare = static_cast<double>(ci.firingsSkipped) /
-                           static_cast<double>(cp.res.totalFirings);
+                           static_cast<double>(cp.totalFirings);
     table.addRow({w.name, std::to_string(w.lowered.size()),
-                  std::to_string(ed.res.cycles),
-                  fmtDouble(ed.seconds * 1e3, 2),
-                  fmtDouble(cp.seconds * 1e3, 2), fmtDouble(speedup, 2),
+                  std::to_string(ed.cycles), fmtDouble(t.seconds(0) * 1e3, 2),
+                  fmtDouble(t.seconds(1) * 1e3, 2),
+                  fmtDouble(speedup.median, 2) + " (" +
+                      fmtDouble(speedup.min, 2) + "-" +
+                      fmtDouble(speedup.max, 2) + ")",
                   w.minSpeedup > 0 ? gateText(w.minSpeedup) : "-",
                   valuePath(ci), fmtDouble(ffShare, 3),
                   same ? "yes" : "NO"});
     bench::JsonObj row;
     row.add("workload", w.name)
         .add("cells", static_cast<std::int64_t>(w.lowered.size()))
-        .add("cycles", ed.res.cycles)
-        .add("event_ms", ed.seconds * 1e3)
-        .add("compiled_ms", cp.seconds * 1e3)
+        .add("cycles", ed.cycles)
+        .add("event_ms", t.seconds(0) * 1e3)
+        .add("compiled_ms", t.seconds(1) * 1e3)
         .add("speedup", speedup)
-        .add("min_speedup", w.minSpeedup)
+        .add("speedup_gate", w.minSpeedup)
         .add("value_path", valuePath(ci))
         .add("decline", sched::declineName(ss.decline))
         .add("ff_share", ffShare)
@@ -305,6 +253,5 @@ int main(int argc, char** argv) {
       allPass ? "PASS" : "FAIL");
   json.meta("all_pass", allPass);
   json.write();
-  const int timings = bench::runTimings(argc, argv);
-  return allPass ? timings : 1;
+  return allPass ? 0 : 1;
 }

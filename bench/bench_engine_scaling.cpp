@@ -6,11 +6,13 @@
 // instruction time; the event-driven scheduler runs on an ExecutableGraph
 // lowered once and only examines cells with a wake event.  Throughput is
 // reported as cells x cycles per second of wall time (simulated cell-cycles
-// per second), the natural unit for a rescan-style simulator.  Both
-// schedulers must produce identical outputs.
+// per second), the natural unit for a rescan-style simulator.  Each row
+// times the two schedulers with bench::timeInterleaved; ed/ref is the
+// median of the per-round Reference / EventDriven time ratios (both runs
+// have the same cells and cycles).  Gates: every row bit-identical
+// (bench::identical), and ed/ref >= 2x on F6 forall at m = 4096.  Exits 1
+// when a gate fails.
 #include "bench_common.hpp"
-
-#include <chrono>
 
 #include "dfg/graph.hpp"
 
@@ -95,47 +97,9 @@ Workload f8Workload(std::int64_t m) {
                      bench::randomInputs(prog, 3, -0.9, 0.9));
 }
 
-struct Timed {
-  machine::MachineResult res;
-  double seconds = 0.0;
-};
-
-Timed runTimed(const Workload& w, SchedulerKind kind, int reps = 3) {
-  machine::RunOptions opts = w.opts;
-  opts.scheduler = kind;
-  Timed best;
-  best.seconds = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res = machine::simulate(
-        w.lowered, machine::MachineConfig::unit(), w.inputs, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best.seconds) best = {std::move(res), s};
-  }
-  return best;
-}
-
-double cellCyclesPerSec(const Workload& w, const Timed& t) {
-  return static_cast<double>(w.lowered.size()) *
-         static_cast<double>(t.res.cycles) / t.seconds;
-}
-
-void BM_Scheduler(benchmark::State& state, SchedulerKind kind) {
-  const Workload w = f6Workload(state.range(0));
-  for (auto _ : state) {
-    auto t = runTimed(w, kind);
-    benchmark::DoNotOptimize(t.res.cycles);
-  }
-}
-void BM_Reference(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::Reference); }
-void BM_EventDriven(benchmark::State& s) { BM_Scheduler(s, SchedulerKind::EventDriven); }
-BENCHMARK(BM_Reference)->Arg(256)->Arg(1024);
-BENCHMARK(BM_EventDriven)->Arg(256)->Arg(1024)->Arg(4096);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "ES (engine scaling)",
@@ -147,40 +111,53 @@ int main(int argc, char** argv) {
   json.meta("workload", "F2 / F6 / F8 graphs, schedulers side by side");
   TextTable table({"workload", "m", "cells", "cycles", "ref Mcc/s",
                    "ed Mcc/s", "ed/ref", "same"});
-  double f6At4096Speedup = 0.0;
+  bench::Spread f6At4096;
+  bool allIdentical = true;
   for (std::int64_t m : {std::int64_t(64), std::int64_t(256),
                          std::int64_t(1024), std::int64_t(4096)}) {
     for (const Workload& w : {f2Workload(m), f6Workload(m), f8Workload(m)}) {
-      const Timed ref = runTimed(w, SchedulerKind::Reference);
-      const Timed ed = runTimed(w, SchedulerKind::EventDriven);
-      const bool same = ref.res.outputs == ed.res.outputs &&
-                        ref.res.cycles == ed.res.cycles &&
-                        ref.res.totalFirings == ed.res.totalFirings;
-      const double speedup =
-          cellCyclesPerSec(w, ed) / cellCyclesPerSec(w, ref);
-      if (w.name == "F6 forall" && m == 4096) f6At4096Speedup = speedup;
+      machine::RunOptions refOpts = w.opts;
+      refOpts.scheduler = SchedulerKind::Reference;
+      machine::RunOptions edOpts = w.opts;
+      edOpts.scheduler = SchedulerKind::EventDriven;
+      machine::MachineResult ref, ed;
+      const bench::Timing t = bench::timeInterleaved(
+          {bench::simulateVariant(w.lowered, w.inputs, refOpts, ref),
+           bench::simulateVariant(w.lowered, w.inputs, edOpts, ed)});
+      const bool same = bench::identical(ref, ed);
+      allIdentical = allIdentical && same;
+      const bench::Spread speedup = t.ratio(0, 1);
+      if (w.name == "F6 forall" && m == 4096) f6At4096 = speedup;
+      const double cellCycles = static_cast<double>(w.lowered.size()) *
+                                static_cast<double>(ed.cycles);
+      const double refMccs = cellCycles / t.seconds(0) / 1e6;
+      const double edMccs = cellCycles / t.seconds(1) / 1e6;
       table.addRow({w.name, std::to_string(m),
                     std::to_string(w.lowered.size()),
-                    std::to_string(ref.res.cycles),
-                    fmtDouble(cellCyclesPerSec(w, ref) / 1e6, 3),
-                    fmtDouble(cellCyclesPerSec(w, ed) / 1e6, 3),
-                    fmtDouble(speedup, 2), same ? "yes" : "NO"});
+                    std::to_string(ed.cycles), fmtDouble(refMccs, 3),
+                    fmtDouble(edMccs, 3), fmtDouble(speedup.median, 2),
+                    same ? "yes" : "NO"});
       bench::JsonObj row;
       row.add("workload", w.name)
           .add("m", m)
           .add("cells", static_cast<std::int64_t>(w.lowered.size()))
-          .add("ref_mccs", cellCyclesPerSec(w, ref) / 1e6)
-          .add("ed_mccs", cellCyclesPerSec(w, ed) / 1e6)
+          .add("ref_mccs", refMccs)
+          .add("ed_mccs", edMccs)
           .add("ed_over_ref", speedup)
           .add("identical", same);
       json.addRow(row);
     }
   }
   std::printf("%s\n", table.str().c_str());
-  std::printf("acceptance: event-driven vs reference on F6 forall, m=4096: "
-              "%.2fx (target >= 2x) %s\n\n",
-              f6At4096Speedup, f6At4096Speedup >= 2.0 ? "PASS" : "FAIL");
-  json.meta("f6_m4096_ed_over_ref", f6At4096Speedup);
+  const bool pass = allIdentical && f6At4096.median >= 2.0;
+  std::printf("acceptance: every row identical (%s); event-driven vs "
+              "reference on F6 forall, m=4096: %.2fx (%.2f-%.2f over %d "
+              "rounds; target >= 2x) %s\n\n",
+              allIdentical ? "yes" : "NO", f6At4096.median, f6At4096.min,
+              f6At4096.max, bench::kRounds, pass ? "PASS" : "FAIL");
+  json.meta("f6_m4096_ed_over_ref", f6At4096.median);
+  json.meta("all_identical", allIdentical);
+  json.meta("pass", pass);
   json.write();
-  return bench::runTimings(argc, argv);
+  return pass ? 0 : 1;
 }

@@ -23,19 +23,9 @@ endfun
 )";
 }
 
-void BM_Stencil2d(benchmark::State& state) {
-  const auto prog = core::compileSource(stencilSource(state.range(0)));
-  const auto in = bench::randomInputs(prog, 91, 0.0, 1.0);
-  for (auto _ : state) {
-    auto r = bench::measureRate(prog, in);
-    benchmark::DoNotOptimize(r.cycles);
-  }
-}
-BENCHMARK(BM_Stencil2d)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "E1 (Section 9 extension)",
@@ -60,5 +50,5 @@ int main(int argc, char** argv) {
       "(The vertical-neighbour gates deliver packets a full row early/late,\n"
       " so the inserted FIFO budget grows ~2x with the grid width — the 2-D\n"
       " incarnation of Figure 4's skew buffers.)\n\n");
-  return bench::runTimings(argc, argv);
+  return 0;
 }

@@ -4,12 +4,14 @@
 // hook is a single never-taken branch, so the engines must run at
 // the same cell-cycles-per-second as before the layer existed.  This bench
 // measures the F6 forall workload on the event-driven scheduler in four
-// modes — off, guards on, timing faults on, both on — and accepts when the
-// off mode keeps the engine-scaling criterion (event-driven >= 2x the
-// reference stepper) and the guarded mode stays within 1.5x of off.
+// modes — off, guards on, timing faults on, both on — plus the reference
+// stepper, all five timed together by bench::timeInterleaved.  Ratios are
+// medians of per-round time ratios.  Gates at m = 4096: off/ref >= 2x (the
+// engine-scaling criterion) and guards/off <= 1.5x; and at every m, off,
+// guards and ref bit-identical (bench::identical), and the timing-fault
+// runs matching off in outputs, firings and packet counters
+// (bench::sameWork, the DESIGN §9 contract).  Exits 1 when a gate fails.
 #include "bench_common.hpp"
-
-#include <chrono>
 
 #include "fault/plan.hpp"
 
@@ -48,29 +50,10 @@ Workload f6Workload(std::int64_t m) {
   return w;
 }
 
-struct Timed {
-  machine::MachineResult res;
-  double seconds = 0.0;
-};
-
-Timed runTimed(const Workload& w, const machine::RunOptions& opts,
-               int reps = 3) {
-  Timed best;
-  best.seconds = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res = machine::simulate(
-        w.lowered, machine::MachineConfig::unit(), w.inputs, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best.seconds) best = {std::move(res), s};
-  }
-  return best;
-}
-
-double mccs(const Workload& w, const Timed& t) {
+double mccs(const Workload& w, const machine::MachineResult& r,
+            double seconds) {
   return static_cast<double>(w.lowered.size()) *
-         static_cast<double>(t.res.cycles) / t.seconds / 1e6;
+         static_cast<double>(r.cycles) / seconds / 1e6;
 }
 
 fault::Plan timingPlan() {
@@ -81,24 +64,9 @@ fault::Plan timingPlan() {
   return plan;
 }
 
-void BM_OffVsGuarded(benchmark::State& state, bool guarded) {
-  const Workload w = f6Workload(state.range(0));
-  machine::RunOptions opts = w.opts;
-  opts.scheduler = SchedulerKind::EventDriven;
-  opts.guards = guarded;
-  for (auto _ : state) {
-    auto t = runTimed(w, opts, 1);
-    benchmark::DoNotOptimize(t.res.cycles);
-  }
-}
-void BM_Off(benchmark::State& s) { BM_OffVsGuarded(s, false); }
-void BM_Guarded(benchmark::State& s) { BM_OffVsGuarded(s, true); }
-BENCHMARK(BM_Off)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_Guarded)->Arg(1024)->Arg(4096);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "FO (fault/guard overhead)",
@@ -113,7 +81,8 @@ int main(int argc, char** argv) {
   TextTable table({"m", "cells", "off Mcc/s", "guards Mcc/s", "faults Mcc/s",
                    "both Mcc/s", "guards/off", "ref Mcc/s", "off/ref",
                    "same"});
-  double offOverRefAtMax = 0.0, guardsOverOffAtMax = 0.0;
+  bench::Spread offOverRefAtMax, guardsOverOffAtMax;
+  bool allSame = true;
   for (std::int64_t m : {std::int64_t(256), std::int64_t(1024),
                          std::int64_t(4096)}) {
     const Workload w = f6Workload(m);
@@ -129,57 +98,65 @@ int main(int argc, char** argv) {
     machine::RunOptions ref = w.opts;
     ref.scheduler = SchedulerKind::Reference;
 
-    // Warm up caches, branch predictors, and the allocator before the first
-    // timed mode: without this the first row (smallest m) charges the cold
-    // start to whichever mode runs first and the ratios come out inverted.
-    runTimed(w, off, 1);
+    machine::MachineResult rOff, rGuards, rFaults, rBoth, rRef;
+    const bench::Timing t = bench::timeInterleaved(
+        {bench::simulateVariant(w.lowered, w.inputs, off, rOff),
+         bench::simulateVariant(w.lowered, w.inputs, guards, rGuards),
+         bench::simulateVariant(w.lowered, w.inputs, faults, rFaults),
+         bench::simulateVariant(w.lowered, w.inputs, both, rBoth),
+         bench::simulateVariant(w.lowered, w.inputs, ref, rRef)});
 
-    const Timed tOff = runTimed(w, off);
-    const Timed tGuards = runTimed(w, guards);
-    const Timed tFaults = runTimed(w, faults);
-    const Timed tBoth = runTimed(w, both);
-    const Timed tRef = runTimed(w, ref);
+    // Resilience modes must not change what the run computes (the
+    // determinacy contract tests/test_fault_injection.cpp proves
+    // exhaustively).
+    const bool same = bench::identical(rOff, rRef) &&
+                      bench::identical(rGuards, rRef) &&
+                      bench::sameWork(rFaults, rOff) &&
+                      bench::sameWork(rBoth, rOff);
+    allSame = allSame && same;
 
-    // Resilience modes must not change what the run computes: outputs and
-    // firing counts stay bit-identical in all five runs (the determinacy
-    // contract tests/test_fault_injection.cpp proves exhaustively).
-    const bool same = tOff.res.outputs == tRef.res.outputs &&
-                      tGuards.res.outputs == tRef.res.outputs &&
-                      tFaults.res.outputs == tRef.res.outputs &&
-                      tBoth.res.outputs == tRef.res.outputs &&
-                      tOff.res.totalFirings == tRef.res.totalFirings &&
-                      tFaults.res.totalFirings == tRef.res.totalFirings;
-
-    const double guardsOverOff = mccs(w, tOff) / mccs(w, tGuards);
-    const double offOverRef = mccs(w, tOff) / mccs(w, tRef);
+    const bench::Spread guardsOverOff = t.ratio(1, 0);
+    const bench::Spread offOverRef = t.ratio(4, 0);
     if (m == 4096) {
       offOverRefAtMax = offOverRef;
       guardsOverOffAtMax = guardsOverOff;
     }
+    const double mOff = mccs(w, rOff, t.seconds(0));
+    const double mGuards = mccs(w, rGuards, t.seconds(1));
+    const double mFaults = mccs(w, rFaults, t.seconds(2));
+    const double mBoth = mccs(w, rBoth, t.seconds(3));
+    const double mRef = mccs(w, rRef, t.seconds(4));
     table.addRow({std::to_string(m), std::to_string(w.lowered.size()),
-                  fmtDouble(mccs(w, tOff), 3), fmtDouble(mccs(w, tGuards), 3),
-                  fmtDouble(mccs(w, tFaults), 3), fmtDouble(mccs(w, tBoth), 3),
-                  fmtDouble(guardsOverOff, 2), fmtDouble(mccs(w, tRef), 3),
-                  fmtDouble(offOverRef, 2), same ? "yes" : "NO"});
+                  fmtDouble(mOff, 3), fmtDouble(mGuards, 3),
+                  fmtDouble(mFaults, 3), fmtDouble(mBoth, 3),
+                  fmtDouble(guardsOverOff.median, 2), fmtDouble(mRef, 3),
+                  fmtDouble(offOverRef.median, 2), same ? "yes" : "NO"});
     bench::JsonObj row;
     row.add("m", m)
         .add("cells", static_cast<std::int64_t>(w.lowered.size()))
-        .add("off_mccs", mccs(w, tOff))
-        .add("guards_mccs", mccs(w, tGuards))
-        .add("faults_mccs", mccs(w, tFaults))
-        .add("both_mccs", mccs(w, tBoth))
+        .add("off_mccs", mOff)
+        .add("guards_mccs", mGuards)
+        .add("faults_mccs", mFaults)
+        .add("both_mccs", mBoth)
+        .add("ref_mccs", mRef)
         .add("guards_over_off", guardsOverOff)
         .add("off_over_ref", offOverRef)
         .add("identical", same);
     json.addRow(row);
   }
   std::printf("%s\n", table.str().c_str());
-  const bool pass = offOverRefAtMax >= 2.0 && guardsOverOffAtMax <= 1.5;
-  std::printf("acceptance: m=4096 off/ref %.2fx (target >= 2x), guards cost "
-              "%.2fx of off (target <= 1.5x) %s\n\n",
-              offOverRefAtMax, guardsOverOffAtMax, pass ? "PASS" : "FAIL");
-  json.meta("off_over_ref_m4096", offOverRefAtMax);
-  json.meta("guards_over_off_m4096", guardsOverOffAtMax);
+  const bool pass = allSame && offOverRefAtMax.median >= 2.0 &&
+                    guardsOverOffAtMax.median <= 1.5;
+  std::printf("acceptance: every m identical (%s); m=4096 off/ref %.2fx "
+              "(target >= 2x), guards cost %.2fx of off (target <= 1.5x), "
+              "medians of %d rounds %s\n\n",
+              allSame ? "yes" : "NO", offOverRefAtMax.median,
+              guardsOverOffAtMax.median, bench::kRounds,
+              pass ? "PASS" : "FAIL");
+  json.meta("off_over_ref_m4096", offOverRefAtMax.median);
+  json.meta("guards_over_off_m4096", guardsOverOffAtMax.median);
+  json.meta("all_identical", allSame);
+  json.meta("pass", pass);
   json.write();
-  return bench::runTimings(argc, argv);
+  return pass ? 0 : 1;
 }

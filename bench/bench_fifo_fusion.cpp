@@ -5,11 +5,12 @@
 // costs one result + one acknowledge packet per token instead of k of each.
 // This bench sweeps the two lowerings over the workloads where chains
 // dominate — the §9 long-FIFO recurrence (bench_claim_longfifo's shape) and
-// the Fig. 6 smoothing forall — on the event-driven scheduler, asserting
-// bit-identical outputs and reporting the wall-clock speedup.  The headline
-// acceptance: >= 1.5x throughput on the deep recurrence at m = 4096.
-#include <chrono>
-
+// the Fig. 6 smoothing forall — on the event-driven scheduler, timing the
+// two lowerings together with bench::timeInterleaved.  A row's speedup is
+// the median of the per-round expanded / fused time ratios.  Gates: every
+// row's fused run completes with the expanded run's outputs and output
+// times, and the deep recurrence at m = 4096 reaches a median >= 1.5x.
+// Exits 1 when a gate fails.
 #include "bench_common.hpp"
 #include "opt/fuse.hpp"
 
@@ -47,35 +48,6 @@ endfun
 )";
 }
 
-struct Meas {
-  double ms = 0.0;
-  machine::MachineResult res;
-};
-
-/// One timed event-driven run of an already-lowered graph (deliberately not
-/// bench::measureRate, which would re-expand any graph carrying Fifo nodes).
-Meas timedRun(const dfg::Graph& lowered, const core::CompiledProgram& prog,
-              const run::StreamMap& in, int reps = 3) {
-  machine::RunOptions opts;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-  Meas best;
-  best.ms = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res =
-        machine::simulate(lowered, machine::MachineConfig::unit(), in, opts);
-    const double ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (ms < best.ms) {
-      best.ms = ms;
-      best.res = std::move(res);
-    }
-  }
-  return best;
-}
-
 struct Row {
   std::string workload;
   std::int64_t m = 0;
@@ -83,9 +55,9 @@ struct Row {
   std::size_t cellsFused = 0;
   std::size_t chains = 0;
   std::size_t absorbed = 0;
-  double msExpanded = 0.0;
+  double msExpanded = 0.0;  ///< median over the rounds
   double msFused = 0.0;
-  double speedup = 0.0;
+  bench::Spread speedup;
   std::uint64_t packetsExpanded = 0;  ///< result + ack packets
   std::uint64_t packetsFused = 0;
   bool identical = false;
@@ -99,8 +71,12 @@ Row sweep(const std::string& workload, const std::string& src,
   opt::FusionStats fs;
   const dfg::Graph fused = opt::fuseFifos(prog.graph, &fs);
 
-  const Meas e = timedRun(expanded, prog, in);
-  const Meas f = timedRun(fused, prog, in);
+  machine::RunOptions opts;
+  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
+  machine::MachineResult e, f;
+  const bench::Timing t =
+      bench::timeInterleaved({bench::simulateVariant(expanded, in, opts, e),
+                              bench::simulateVariant(fused, in, opts, f)});
 
   Row row;
   row.workload = workload;
@@ -109,15 +85,13 @@ Row sweep(const std::string& workload, const std::string& src,
   row.cellsFused = fused.size();
   row.chains = fs.chainsFused;
   row.absorbed = fs.cellsAbsorbed;
-  row.msExpanded = e.ms;
-  row.msFused = f.ms;
-  row.speedup = f.ms > 0.0 ? e.ms / f.ms : 0.0;
-  row.packetsExpanded =
-      e.res.packets.resultPackets + e.res.packets.ackPackets;
-  row.packetsFused = f.res.packets.resultPackets + f.res.packets.ackPackets;
-  row.identical = e.res.completed && f.res.completed &&
-                  f.res.outputs == e.res.outputs &&
-                  f.res.outputTimes == e.res.outputTimes;
+  row.msExpanded = t.seconds(0) * 1e3;
+  row.msFused = t.seconds(1) * 1e3;
+  row.speedup = t.ratio(0, 1);
+  row.packetsExpanded = e.packets.resultPackets + e.packets.ackPackets;
+  row.packetsFused = f.packets.resultPackets + f.packets.ackPackets;
+  row.identical = e.completed && f.completed && f.outputs == e.outputs &&
+                  f.outputTimes == e.outputTimes;
   return row;
 }
 
@@ -128,29 +102,9 @@ core::CompileOptions recurrenceOpts() {
   return o;
 }
 
-void BM_DeepRecurrence(benchmark::State& state) {
-  const std::int64_t m = state.range(0);
-  const bool fuse = state.range(1) != 0;
-  const auto prog = core::compileSource(deepRecurrence(m), recurrenceOpts());
-  const auto in = bench::randomInputs(prog, 71, -0.8, 0.8);
-  const dfg::Graph lowered =
-      fuse ? opt::fuseFifos(prog.graph) : dfg::expandFifos(prog.graph);
-  machine::RunOptions opts;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-  for (auto _ : state) {
-    auto res = machine::simulate(lowered, machine::MachineConfig::unit(), in,
-                                 opts);
-    benchmark::DoNotOptimize(res.cycles);
-  }
-}
-BENCHMARK(BM_DeepRecurrence)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->ArgNames({"m", "fused"});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "P5 — FIFO fusion",
@@ -163,7 +117,7 @@ int main(int argc, char** argv) {
   TextTable table({"workload", "m", "cells exp", "cells fused", "packets exp",
                    "packets fused", "ms exp", "ms fused", "speedup",
                    "identical"});
-  double headline = 0.0;
+  bench::Spread headline;
   bool allIdentical = true;
   for (const std::int64_t m : {64, 256, 1024, 4096}) {
     for (int w = 0; w < 2; ++w) {
@@ -179,7 +133,8 @@ int main(int argc, char** argv) {
                     std::to_string(row.packetsExpanded),
                     std::to_string(row.packetsFused),
                     fmtDouble(row.msExpanded, 2), fmtDouble(row.msFused, 2),
-                    fmtDouble(row.speedup, 2), row.identical ? "yes" : "NO"});
+                    fmtDouble(row.speedup.median, 2),
+                    row.identical ? "yes" : "NO"});
       bench::JsonObj o;
       o.add("workload", row.workload)
           .add("m", row.m)
@@ -200,14 +155,15 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
 
-  const bool pass = allIdentical && headline >= 1.5;
-  json.meta("speedup_at_m4096", headline);
+  const bool pass = allIdentical && headline.median >= 1.5;
+  json.meta("speedup_at_m4096", headline.median);
   json.meta("all_identical", allIdentical);
   json.meta("pass", pass);
   json.write();
-  std::printf("deep recurrence @ m=4096: %.2fx %s (bound 1.5x); outputs %s\n",
-              headline, pass ? "PASS" : "FAIL",
+  std::printf("deep recurrence @ m=4096: %.2fx (%.2f-%.2f over %d rounds) "
+              "%s (bound 1.5x); outputs %s\n",
+              headline.median, headline.min, headline.max, bench::kRounds,
+              pass ? "PASS" : "FAIL",
               allIdentical ? "bit-identical" : "MISMATCH");
-  if (!pass) return 1;
-  return bench::runTimings(argc, argv);
+  return pass ? 0 : 1;
 }

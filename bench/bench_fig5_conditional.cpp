@@ -30,23 +30,9 @@ std::vector<Value> biased(std::int64_t n, int percent, unsigned seed) {
   return out;
 }
 
-void BM_SimulateConditional(benchmark::State& state) {
-  const std::int64_t m = 1024;
-  const auto prog = core::compileSource(source(m));
-  run::StreamMap in;
-  in["A"] = bench::randomStream(m, 1);
-  in["B"] = bench::randomStream(m, 2);
-  in["C"] = biased(m, static_cast<int>(state.range(0)), 3);
-  for (auto _ : state) {
-    auto r = bench::measureRate(prog, in);
-    benchmark::DoNotOptimize(r.cycles);
-  }
-}
-BENCHMARK(BM_SimulateConditional)->Arg(0)->Arg(50)->Arg(100);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner("F5 (Figure 5)",
                 "fully pipelined if-then-else with data-dependent condition",
@@ -98,5 +84,5 @@ int main(int argc, char** argv) {
     json.meta("audit", audit.line());
   }
   json.write();
-  return bench::runTimings(argc, argv);
+  return 0;
 }

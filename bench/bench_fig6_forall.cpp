@@ -20,31 +20,9 @@ endfun
 )";
 }
 
-void BM_PipelineScheme(benchmark::State& state) {
-  const auto prog = core::compileSource(source(state.range(0)));
-  const auto in = bench::randomInputs(prog, 5);
-  for (auto _ : state) {
-    auto r = bench::measureRate(prog, in);
-    benchmark::DoNotOptimize(r.cycles);
-  }
-}
-BENCHMARK(BM_PipelineScheme)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_ParallelScheme(benchmark::State& state) {
-  core::CompileOptions par;
-  par.forallScheme = core::ForallScheme::Parallel;
-  const auto prog = core::compileSource(source(state.range(0)), par);
-  const auto in = bench::randomInputs(prog, 5);
-  for (auto _ : state) {
-    auto r = bench::measureRate(prog, in);
-    benchmark::DoNotOptimize(r.cycles);
-  }
-}
-BENCHMARK(BM_ParallelScheme)->Arg(64)->Arg(128);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "F6 (Figure 6 / Theorem 2)",
@@ -91,5 +69,5 @@ int main(int argc, char** argv) {
     json.meta("audit", audit.line());
   }
   json.write();
-  return bench::runTimings(argc, argv);
+  return 0;
 }

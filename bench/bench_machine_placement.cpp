@@ -26,27 +26,9 @@ endfun
 )";
 }
 
-void BM_PlacedSimulation(benchmark::State& state) {
-  const auto prog = core::compileSource(chainSource(512));
-  dfg::Graph lowered = dfg::expandFifos(prog.graph);
-  const auto in = bench::randomInputs(prog, 101);
-  machine::MachineConfig cfg;
-  cfg.interPeDelay = 1;
-  machine::RunOptions opts;
-  opts.expectedOutputs[prog.outputName] = prog.expectedOutputPerWave();
-  opts.placement = machine::assignCells(
-      lowered, static_cast<int>(state.range(0)),
-      machine::PlacementStrategy::RoundRobin);
-  for (auto _ : state) {
-    auto res = machine::simulate(lowered, cfg, in, opts);
-    benchmark::DoNotOptimize(res.cycles);
-  }
-}
-BENCHMARK(BM_PlacedSimulation)->Arg(1)->Arg(8)->Arg(32);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "A3 (architecture placement)",
@@ -88,5 +70,5 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", table.str().c_str());
-  return bench::runTimings(argc, argv);
+  return 0;
 }

@@ -14,9 +14,14 @@
 //   * supervised recovery wall-clock under a destructive drop plan — the
 //     end-to-end price of "fault happened, retry from the last clean
 //     snapshot, finish bit-identical".
+//
+// The four modes are timed together by bench::timeInterleaved; ckpt/base is
+// the median of the per-round checkpointed / baseline time ratios.  Gates:
+// that median <= 1.10x at m = 4096; the checkpointed and resumed runs
+// bit-identical to the baseline (bench::identical); the supervised run's
+// outputs equal to the baseline's (the DESIGN §13 contract).  Exits 1 when a
+// gate fails.
 #include "bench_common.hpp"
-
-#include <chrono>
 
 #include "fault/plan.hpp"
 #include "recover/snapshot.hpp"
@@ -58,52 +63,15 @@ Workload f6Workload(std::int64_t m) {
   return w;
 }
 
-struct Timed {
-  machine::MachineResult res;
-  double seconds = 0.0;
-};
-
-Timed runTimed(const Workload& w, const machine::RunOptions& opts,
-               int reps = 3) {
-  Timed best;
-  best.seconds = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    machine::MachineResult res = machine::simulate(
-        w.lowered, machine::MachineConfig::unit(), w.inputs, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best.seconds) best = {std::move(res), s};
-  }
-  return best;
-}
-
-double mccs(const Workload& w, const Timed& t) {
+double mccs(const Workload& w, const machine::MachineResult& r,
+            double seconds) {
   return static_cast<double>(w.lowered.size()) *
-         static_cast<double>(t.res.cycles) / t.seconds / 1e6;
+         static_cast<double>(r.cycles) / seconds / 1e6;
 }
-
-void BM_Checkpointed(benchmark::State& state, bool checkpoints) {
-  const Workload w = f6Workload(state.range(0));
-  machine::RunOptions opts = w.opts;
-  recover::CheckpointLog log;
-  if (checkpoints) {
-    opts.checkpointEvery = std::max<std::int64_t>(1, w.m / 8);
-    opts.checkpoints = &log;
-  }
-  for (auto _ : state) {
-    auto t = runTimed(w, opts, 1);
-    benchmark::DoNotOptimize(t.res.cycles);
-  }
-}
-void BM_Base(benchmark::State& s) { BM_Checkpointed(s, false); }
-void BM_Ckpt(benchmark::State& s) { BM_Checkpointed(s, true); }
-BENCHMARK(BM_Base)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_Ckpt)->Arg(1024)->Arg(4096);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace valpipe;
   bench::banner(
       "RC (recovery economics)",
@@ -115,17 +83,12 @@ int main(int argc, char** argv) {
   json.meta("workload", "F6 forall, event-driven scheduler, unit profile");
   TextTable table({"m", "cells", "base Mcc/s", "ckpt Mcc/s", "ckpt/base",
                    "snaps", "bytes/snap", "full ms", "resume ms",
-                   "recover ms", "attempts"});
-  double overheadAtMax = 0.0;
+                   "recover ms", "attempts", "same"});
+  bench::Spread overheadAtMax;
+  bool allSame = true;
   for (std::int64_t m : {std::int64_t(1024), std::int64_t(4096)}) {
     const Workload w = f6Workload(m);
     const std::int64_t every = std::max<std::int64_t>(1, m / 8);
-
-    machine::RunOptions base = w.opts;
-    // Cold-start warmup: the first timed mode must not pay the allocator
-    // and icache bill for everyone.
-    runTimed(w, base, 1);
-    const Timed tBase = runTimed(w, base);
 
     // Timed overhead uses the production recovery configuration: a rolling
     // log that retains last + lastClean, exactly what the supervisor and
@@ -135,7 +98,6 @@ int main(int argc, char** argv) {
     machine::RunOptions ckpt = w.opts;
     ckpt.checkpointEvery = every;
     ckpt.checkpoints = &log;
-    const Timed tCkpt = runTimed(w, ckpt);
 
     // Restore-and-resume from the middle snapshot vs the full rerun; the
     // mid-run snapshot comes from one untimed keepAll pass.
@@ -150,7 +112,6 @@ int main(int argc, char** argv) {
     const std::size_t snapBytes = recover::serialize(mid).size();
     machine::RunOptions resume = w.opts;
     resume.restoreFrom = &mid;
-    const Timed tResume = runTimed(w, resume);
 
     // Supervised recovery: a destructive drop plan fails the run mid-flight;
     // the supervisor restores the last clean snapshot, strips the
@@ -167,54 +128,65 @@ int main(int argc, char** argv) {
     recover::RetryPolicy policy;
     policy.checkpointEvery = every;
     policy.sleepBetweenRetries = false;
-    recover::Report report;
-    const auto r0 = std::chrono::steady_clock::now();
-    const machine::MachineResult rec = recover::superviseRun(
-        w.lowered, nullptr, machine::MachineConfig::unit(), w.inputs, faulted,
-        policy, &report);
-    const double recoverSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
-            .count();
-    const bool same = tCkpt.res.outputs == tBase.res.outputs &&
-                      tResume.res.outputs == tBase.res.outputs &&
-                      rec.outputs == tBase.res.outputs;
 
-    const double overhead = mccs(w, tBase) / mccs(w, tCkpt);
+    machine::MachineResult rBase, rCkpt, rResume, rRec;
+    recover::Report report;
+    const bench::Timing t = bench::timeInterleaved(
+        {bench::simulateVariant(w.lowered, w.inputs, w.opts, rBase),
+         bench::simulateVariant(w.lowered, w.inputs, ckpt, rCkpt),
+         bench::simulateVariant(w.lowered, w.inputs, resume, rResume),
+         {[&] {
+            rRec = recover::superviseRun(
+                w.lowered, nullptr, machine::MachineConfig::unit(), w.inputs,
+                faulted, policy, &report);
+          },
+          [&] {
+            rRec = machine::MachineResult{};
+            report = recover::Report{};
+          }}});
+    const bool same = bench::identical(rCkpt, rBase) &&
+                      bench::identical(rResume, rBase) &&
+                      rRec.outputs == rBase.outputs;
+    allSame = allSame && same;
+
+    const bench::Spread overhead = t.ratio(1, 0);
     if (m == 4096) overheadAtMax = overhead;
     table.addRow({std::to_string(m), std::to_string(w.lowered.size()),
-                  fmtDouble(mccs(w, tBase), 3), fmtDouble(mccs(w, tCkpt), 3),
-                  fmtDouble(overhead, 3), std::to_string(snaps.size()),
-                  std::to_string(snapBytes),
-                  fmtDouble(tBase.seconds * 1e3, 2),
-                  fmtDouble(tResume.seconds * 1e3, 2),
-                  fmtDouble(recoverSec * 1e3, 2),
-                  std::to_string(report.attempts.size())});
-    if (!same)
-      std::printf("WARNING: m=%lld outputs diverged across modes\n",
-                  static_cast<long long>(m));
+                  fmtDouble(mccs(w, rBase, t.seconds(0)), 3),
+                  fmtDouble(mccs(w, rCkpt, t.seconds(1)), 3),
+                  fmtDouble(overhead.median, 3), std::to_string(snaps.size()),
+                  std::to_string(snapBytes), fmtDouble(t.seconds(0) * 1e3, 2),
+                  fmtDouble(t.seconds(2) * 1e3, 2),
+                  fmtDouble(t.seconds(3) * 1e3, 2),
+                  std::to_string(report.attempts.size()),
+                  same ? "yes" : "NO"});
     bench::JsonObj row;
     row.add("m", m)
         .add("cells", static_cast<std::int64_t>(w.lowered.size()))
         .add("checkpoint_every", every)
-        .add("base_mccs", mccs(w, tBase))
-        .add("ckpt_mccs", mccs(w, tCkpt))
+        .add("base_mccs", mccs(w, rBase, t.seconds(0)))
+        .add("ckpt_mccs", mccs(w, rCkpt, t.seconds(1)))
         .add("ckpt_over_base", overhead)
         .add("snapshots", static_cast<std::int64_t>(snaps.size()))
         .add("bytes_per_snapshot", static_cast<std::int64_t>(snapBytes))
-        .add("full_seconds", tBase.seconds)
-        .add("resume_seconds", tResume.seconds)
-        .add("recover_seconds", recoverSec)
+        .add("full_seconds", t.seconds(0))
+        .add("resume_seconds", t.seconds(2))
+        .add("recover_seconds", t.seconds(3))
         .add("recover_attempts",
              static_cast<std::int64_t>(report.attempts.size()))
         .add("identical", same);
     json.addRow(row);
   }
   std::printf("%s\n", table.str().c_str());
-  const bool pass = overheadAtMax <= 1.10;
-  std::printf("acceptance: m=4096 checkpointing costs %.3fx of baseline "
-              "(target <= 1.10x) %s\n\n",
-              overheadAtMax, pass ? "PASS" : "FAIL");
-  json.meta("ckpt_over_base_m4096", overheadAtMax);
+  const bool pass = allSame && overheadAtMax.median <= 1.10;
+  std::printf("acceptance: every m identical (%s); m=4096 checkpointing "
+              "costs %.3fx of baseline (%.3f-%.3f over %d rounds; target "
+              "<= 1.10x) %s\n\n",
+              allSame ? "yes" : "NO", overheadAtMax.median, overheadAtMax.min,
+              overheadAtMax.max, bench::kRounds, pass ? "PASS" : "FAIL");
+  json.meta("ckpt_over_base_m4096", overheadAtMax.median);
+  json.meta("all_identical", allSame);
+  json.meta("pass", pass);
   json.write();
-  return bench::runTimings(argc, argv);
+  return pass ? 0 : 1;
 }
