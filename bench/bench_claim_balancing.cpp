@@ -5,9 +5,12 @@
 //   (3) optimum (minimum-buffer) balancing is the LP dual of a min-cost
 //       flow problem, also polynomial.
 // We compare total inserted FIFO slots and wall time of both modes on
-// growing synthetic pipe-structured programs; the two modes are timed
-// together by bench::timeInterleaved, each run balancing a fresh copy of the
-// graph, and the table prints each mode's median.  Ungated.
+// growing synthetic pipe-structured programs, and on Example 1 under the
+// parallel forall scheme, whose graphs grow with m (one body copy per
+// element and a merge chain of length m).  The two modes are timed together
+// by bench::timeInterleaved, each run balancing a fresh copy of the graph;
+// the table prints each mode's median and the median per-round
+// optimal/longest ratio.  Ungated.
 #include "bench_common.hpp"
 
 #include <sstream>
@@ -71,7 +74,8 @@ int main() {
       "slots than longest-path balancing");
 
   TextTable table({"graph", "nodes", "arcs", "slots longest", "slots optimal",
-                   "saving", "t longest (ms)", "t optimal (ms)"});
+                   "saving", "t longest (ms)", "t optimal (ms)",
+                   "optimal/longest"});
   auto addRow = [&](const std::string& name, const dfg::Graph& g) {
     const auto stats = dfg::computeStats(g);
     auto balanced = [&](core::BalanceMode mode, dfg::Graph& copy,
@@ -97,26 +101,20 @@ int main() {
     table.addRow({name, std::to_string(stats.nodes),
                   std::to_string(stats.arcs), std::to_string(lpSlots),
                   std::to_string(optSlots), saving.str(), fmtDouble(tLp, 3),
-                  fmtDouble(tOpt, 3)});
+                  fmtDouble(tOpt, 3), fmtDouble(t.ratio(1, 0).median, 3)});
   };
 
-  {
-    core::CompileOptions raw;
-    raw.balanceMode = core::BalanceMode::None;
-    const std::string ex1 = R"(const m = 64
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-    addRow("example 1", core::compileSource(ex1, raw).graph);
-    addRow("example 2", core::compileSource(bench::example2Source(64), raw).graph);
-  }
+  core::CompileOptions raw;
+  raw.balanceMode = core::BalanceMode::None;
+  addRow("example 1", core::compileSource(bench::example1Source(64), raw).graph);
+  addRow("example 2", core::compileSource(bench::example2Source(64), raw).graph);
   for (int lanes : {2, 4, 8, 16, 32, 64})
     addRow("wide-" + std::to_string(lanes), unbalancedGraph(lanes, 64));
+  core::CompileOptions parallel = raw;
+  parallel.forallScheme = core::ForallScheme::Parallel;
+  for (std::int64_t m : {64, 128, 256, 512})
+    addRow("example 1 parallel m=" + std::to_string(m),
+           core::compileSource(bench::example1Source(m), parallel).graph);
   std::printf("%s\n", table.str().c_str());
 
   std::printf("-- both balanced graphs still run at the full rate --\n");

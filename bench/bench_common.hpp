@@ -40,6 +40,19 @@
 
 namespace valpipe::bench {
 
+/// The paper's Example 1 source (boundary-guarded smoothing forall).
+inline std::string example1Source(std::int64_t m) {
+  return "const m = " + std::to_string(m) + "\n" + R"(
+function ex1(B, C: array[real] [0, m+1] returns array[real])
+  forall i in [0, m+1]
+    P : real := if (i = 0) | (i = m+1) then C[i]
+                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
+  construct B[i] * (P * P)
+  endall
+endfun
+)";
+}
+
 /// The paper's Example 2 source (first-order linear recurrence).
 inline std::string example2Source(std::int64_t m) {
   return "const m = " + std::to_string(m) + "\n" + R"(

@@ -13,7 +13,10 @@
 //     polynomial algorithm of §8 (1)); tends to over-buffer because sources
 //     are pinned at depth 0.
 //   Optimal     — minimum total inserted buffering, via the min-cost-flow
-//     dual of the depth LP (§8 (3)).
+//     dual of the depth LP (§8 (3)), solved by network simplex.  Of all
+//     optimal depth assignments it takes the least (flow::solveDifferenceLP),
+//     so the inserted FIFOs do not depend on the solver's pivot order, and
+//     every component's shallowest cell sits at depth 0 by construction.
 #pragma once
 
 #include "core/compiler.hpp"

@@ -1,9 +1,11 @@
 // Unit and property tests for the min-cost-flow substrate and the
 // difference-constraint LP solver (§8 (3): optimum balancing is the LP dual
 // of min-cost flow).  The property suite cross-checks the LP solver against
-// brute-force enumeration on small random instances.
+// brute-force enumeration on small random instances, for both the optimum
+// and the canonical (least) optimal assignment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <random>
@@ -18,8 +20,8 @@ TEST(MinCostFlow, SimplePath) {
   MinCostFlow mcf(3);
   mcf.setSupply(0, 5);
   mcf.setSupply(2, -5);
-  const int e0 = mcf.addEdge(0, 1, 10, 1);
-  const int e1 = mcf.addEdge(1, 2, 10, 2);
+  const int e0 = mcf.addEdge(0, 1, 1);
+  const int e1 = mcf.addEdge(1, 2, 2);
   const auto res = mcf.solve();
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.totalCost, 15);
@@ -27,36 +29,13 @@ TEST(MinCostFlow, SimplePath) {
   EXPECT_EQ(mcf.flowOn(e1), 5);
 }
 
-TEST(MinCostFlow, PrefersCheaperRoute) {
-  MinCostFlow mcf(4);
-  mcf.setSupply(0, 4);
-  mcf.setSupply(3, -4);
-  const int cheap1 = mcf.addEdge(0, 1, 3, 1);
-  const int cheap2 = mcf.addEdge(1, 3, 3, 1);
-  const int dear = mcf.addEdge(0, 3, 10, 5);
-  const auto res = mcf.solve();
-  EXPECT_TRUE(res.feasible);
-  EXPECT_EQ(mcf.flowOn(cheap1), 3);
-  EXPECT_EQ(mcf.flowOn(cheap2), 3);
-  EXPECT_EQ(mcf.flowOn(dear), 1);
-  EXPECT_EQ(res.totalCost, 3 * 2 + 5);
-}
-
-TEST(MinCostFlow, InfeasibleWhenCapacityMissing) {
-  MinCostFlow mcf(2);
-  mcf.setSupply(0, 5);
-  mcf.setSupply(1, -5);
-  mcf.addEdge(0, 1, 3, 1);
-  EXPECT_FALSE(mcf.solve().feasible);
-}
-
 TEST(MinCostFlow, NegativeCostsOnDag) {
   MinCostFlow mcf(3);
   mcf.setSupply(0, 2);
   mcf.setSupply(2, -2);
-  const int neg = mcf.addEdge(0, 1, 5, -3);
-  mcf.addEdge(1, 2, 5, 1);
-  const int direct = mcf.addEdge(0, 2, 5, 0);
+  const int neg = mcf.addEdge(0, 1, -3);
+  mcf.addEdge(1, 2, 1);
+  const int direct = mcf.addEdge(0, 2, 0);
   const auto res = mcf.solve();
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(mcf.flowOn(neg), 2);
@@ -68,17 +47,40 @@ TEST(MinCostFlow, PotentialsSatisfyReducedCostOptimality) {
   MinCostFlow mcf(4);
   mcf.setSupply(0, 3);
   mcf.setSupply(3, -3);
-  mcf.addEdge(0, 1, 10, 1);  // cheap side, never saturated
-  mcf.addEdge(0, 2, 10, 3);
-  mcf.addEdge(1, 3, 10, 1);
-  mcf.addEdge(2, 3, 10, 1);
+  mcf.addEdge(0, 1, 1);  // cheap side
+  mcf.addEdge(0, 2, 3);
+  mcf.addEdge(1, 3, 1);
+  mcf.addEdge(2, 3, 1);
   ASSERT_TRUE(mcf.solve().feasible);
-  // Unsaturated arcs must have non-negative reduced cost:
+  // Every arc must have non-negative reduced cost:
   // cost + pi[u] - pi[v] >= 0, i.e. pi[v] - pi[u] <= cost.
   EXPECT_LE(mcf.potential(1) - mcf.potential(0), 1);
   EXPECT_LE(mcf.potential(2) - mcf.potential(0), 3);
   EXPECT_LE(mcf.potential(3) - mcf.potential(1), 1);
   EXPECT_LE(mcf.potential(3) - mcf.potential(2), 1);
+}
+
+TEST(MinCostFlow, ZeroCostTwoCycleIsTight) {
+  // The rigid-arc shape: 0 -> 1 and 1 -> 0 with opposite costs pin
+  // pi[1] - pi[0] to one value in both directions.  One unit goes
+  // 0 -> 1 -> 2 (cost -3) rather than 0 -> 2 (cost -1).
+  MinCostFlow mcf(3);
+  mcf.setSupply(0, 1);
+  mcf.setSupply(2, -1);
+  const int fwd = mcf.addEdge(0, 1, -2);
+  const int back = mcf.addEdge(1, 0, 2);
+  const int tail = mcf.addEdge(1, 2, -1);
+  const int direct = mcf.addEdge(0, 2, -1);
+  const auto res = mcf.solve();
+  ASSERT_TRUE(res.feasible);
+  EXPECT_EQ(res.totalCost, -3);
+  EXPECT_EQ(mcf.flowOn(fwd), 1);
+  EXPECT_EQ(mcf.flowOn(back), 0);
+  EXPECT_EQ(mcf.flowOn(tail), 1);
+  EXPECT_EQ(mcf.flowOn(direct), 0);
+  EXPECT_EQ(mcf.potential(1) - mcf.potential(0), -2);  // both arcs tight
+  EXPECT_EQ(mcf.potential(2) - mcf.potential(1), -1);  // carries flow
+  EXPECT_LE(mcf.potential(2) - mcf.potential(0), -1);
 }
 
 TEST(DifferenceLP, ChainTightens) {
@@ -168,6 +170,23 @@ TEST_P(DiffLpProperty, MatchesBruteForce) {
   enumerate(0);
   ASSERT_NE(best, std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(objective(*lp), best);
+
+  // The solver returns the least optimal assignment: the coordinate-wise
+  // minimum over every optimal d >= 0 (the least one lies in [0, box] too).
+  std::vector<std::int64_t> least(n, box + 1);
+  std::function<void(int)> enumerateLeast = [&](int v) {
+    if (v == n) {
+      if (feasible(d) && objective(d) == best)
+        for (int u = 0; u < n; ++u) least[u] = std::min(least[u], d[u]);
+      return;
+    }
+    for (std::int64_t x = 0; x <= box; ++x) {
+      d[v] = x;
+      enumerateLeast(v + 1);
+    }
+  };
+  enumerateLeast(0);
+  EXPECT_EQ(*lp, least);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffLpProperty, ::testing::Range(0, 30));
