@@ -11,18 +11,6 @@ namespace {
 
 using namespace valpipe;
 
-std::string ex1Source(std::int64_t m) {
-  return "const m = " + std::to_string(m) + "\n" + R"(
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-}
-
 struct Row {
   std::size_t cells;
   std::size_t generators;  ///< abstract sources remaining
@@ -64,7 +52,8 @@ int main() {
     core::ForIterScheme scheme;
   };
   for (const Case& c :
-       {Case{"example1 m=256", ex1Source(256), core::ForIterScheme::Auto},
+       {Case{"example1 m=256", bench::example1Source(256),
+             core::ForIterScheme::Auto},
         Case{"example2/todd m=256", bench::example2Source(256),
              core::ForIterScheme::Todd},
         Case{"example2/companion m=256", bench::example2Source(256),

@@ -86,18 +86,6 @@ endfun
 )";
 }
 
-std::string forallSource(std::int64_t m) {
-  return "const m = " + std::to_string(m) + "\n" + R"(
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-}
-
 /// One prepared workload: a lowered graph plus its inputs and run options.
 struct Workload {
   std::string name;
@@ -147,7 +135,7 @@ std::vector<Workload> workloads(std::int64_t m) {
     all.back().minSpeedup = 0.0;  // data-dependent control: declines
   }
   {
-    const auto prog = core::compileSource(forallSource(m));
+    const auto prog = core::compileSource(bench::example1Source(m));
     all.push_back(
         fromProgram("fig6 forall", prog, bench::randomInputs(prog, 17)));
   }

@@ -38,18 +38,6 @@ dfg::Graph figure2Graph(std::int64_t n) {
   return g;
 }
 
-std::string forallSource(std::int64_t m) {
-  return "const m = " + std::to_string(m) + "\n" + R"(
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-}
-
 /// One prepared workload: a lowered graph plus its inputs and run options.
 struct Workload {
   std::string name;
@@ -84,7 +72,7 @@ Workload f2Workload(std::int64_t m) {
 }
 
 Workload f6Workload(std::int64_t m) {
-  const auto prog = core::compileSource(forallSource(m));
+  const auto prog = core::compileSource(bench::example1Source(m));
   return fromProgram("F6 forall", m, prog, bench::randomInputs(prog, 5));
 }
 

@@ -4,24 +4,6 @@
 // parallel scheme baseline (one body copy per element).
 #include "bench_common.hpp"
 
-namespace {
-
-using namespace valpipe;
-
-std::string source(std::int64_t m) {
-  return "const m = " + std::to_string(m) + "\n" + R"(
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-}
-
-}  // namespace
-
 int main() {
   using namespace valpipe;
   bench::banner(
@@ -34,7 +16,7 @@ int main() {
   json.meta("workload", "Example 1 forall, pipeline vs parallel scheme");
   TextTable table({"m", "scheme", "cells", "FIFO slots", "rate", "paper"});
   for (std::int64_t m : {64, 256, 1024, 4096}) {
-    const auto prog = core::compileSource(source(m));
+    const auto prog = core::compileSource(bench::example1Source(m));
     const auto in = bench::randomInputs(prog, 5);
     const double rate = bench::measureRate(prog, in, 2).steadyRate;
     table.addRow({std::to_string(m), "pipeline",
@@ -47,7 +29,7 @@ int main() {
     if (m <= 256) {
       core::CompileOptions par;
       par.forallScheme = core::ForallScheme::Parallel;
-      const auto pprog = core::compileSource(source(m), par);
+      const auto pprog = core::compileSource(bench::example1Source(m), par);
       const auto pin = bench::randomInputs(pprog, 5);
       table.addRow({std::to_string(m), "parallel",
                     std::to_string(pprog.graph.loweredCellCount()),
@@ -62,7 +44,7 @@ int main() {
 
   // §3 audit of the pipeline scheme (Theorem 2).
   {
-    const auto prog = core::compileSource(source(1024));
+    const auto prog = core::compileSource(bench::example1Source(1024));
     const obs::RateReport audit =
         bench::auditProgram(prog, bench::randomInputs(prog, 5));
     bench::printAudit(audit);

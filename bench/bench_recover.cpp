@@ -32,18 +32,6 @@ namespace {
 using namespace valpipe;
 using machine::SchedulerKind;
 
-std::string forallSource(std::int64_t m) {
-  return "const m = " + std::to_string(m) + "\n" + R"(
-function ex1(B, C: array[real] [0, m+1] returns array[real])
-  forall i in [0, m+1]
-    P : real := if (i = 0) | (i = m+1) then C[i]
-                else 0.25 * (C[i-1] + 2.*C[i] + C[i+1]) endif;
-  construct B[i] * (P * P)
-  endall
-endfun
-)";
-}
-
 struct Workload {
   std::int64_t m = 0;
   dfg::Graph lowered;
@@ -52,7 +40,7 @@ struct Workload {
 };
 
 Workload f6Workload(std::int64_t m) {
-  const auto prog = core::compileSource(forallSource(m));
+  const auto prog = core::compileSource(bench::example1Source(m));
   Workload w;
   w.m = m;
   w.lowered = dfg::isLowered(prog.graph) ? prog.graph

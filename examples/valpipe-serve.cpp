@@ -234,7 +234,8 @@ int main(int argc, char** argv) {
       const serve::CacheStats cs = server.cacheStats();
       std::fprintf(stderr,
                    "valpipe-serve: served %llu requests (%llu failed),"
-                   " %llu runs / %llu lanes (%llu batched, %llu fallbacks),"
+                   " %llu runs / %llu lanes (%llu batched, %llu fallbacks,"
+                   " %llu fast-forwarded, %llu declined),"
                    " cache %llu hits / %llu compiles\n",
                    static_cast<unsigned long long>(st.requestsCompleted),
                    static_cast<unsigned long long>(st.requestsFailed),
@@ -242,6 +243,8 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(st.lanesExecuted),
                    static_cast<unsigned long long>(st.batchedRuns),
                    static_cast<unsigned long long>(st.batchFallbacks),
+                   static_cast<unsigned long long>(st.fastForwardedRuns),
+                   static_cast<unsigned long long>(st.declinedRuns),
                    static_cast<unsigned long long>(cs.hits),
                    static_cast<unsigned long long>(cs.compiles));
       return 0;

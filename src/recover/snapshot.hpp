@@ -259,7 +259,12 @@ struct Reader {
         std::vector<Value> lanes;
         lanes.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) lanes.push_back(value(depth + 1));
-        return Value::pack(std::move(lanes));
+        try {
+          return Value::pack(lanes);
+        } catch (const ValueError& e) {  // empty, or mixed lane kinds
+          throw SnapshotError(std::string("bad lane pack in snapshot: ") +
+                              e.what());
+        }
       }
       default: throw SnapshotError("unknown value kind in snapshot");
     }

@@ -10,6 +10,9 @@
 //     core/phases.hpp with lowering forced on, so the graph is machine-ready);
 //   - the flattened exec::ExecutableGraph, built ONCE and shared read-only
 //     by every concurrent run (machine::simulate's prebuilt-graph overload);
+//   - its sched::SteadySchedule, computed once: the server runs an accepted
+//     program on the Compiled scheduler and never lane-batches one whose
+//     control is data-dependent;
 //   - the output stream name and per-wave packet count the stop condition
 //     needs.
 //
@@ -38,6 +41,7 @@
 #include "core/options.hpp"
 #include "dfg/graph.hpp"
 #include "exec/executable_graph.hpp"
+#include "sched/schedule.hpp"
 
 namespace valpipe::serve {
 
@@ -57,13 +61,15 @@ struct CachedProgram {
   core::CompileOptions options;  ///< normalized: lower forced on
   core::CompiledProgram program; ///< graph is machine-ready (lowered)
   exec::ExecutableGraph exec;    ///< flattened once, shared by all runs
+  sched::SteadySchedule schedule;  ///< of `exec`, computed once
 
   CachedProgram(std::string src, const core::CompileOptions& opts,
                 core::CompiledProgram prog)
       : source(std::move(src)),
         options(opts),
         program(std::move(prog)),
-        exec(program.graph) {}
+        exec(program.graph),
+        schedule(sched::computeSteadySchedule(exec)) {}
 
   const std::string& outputName() const { return program.outputName; }
   std::int64_t outputPerWave() const { return program.expectedOutputPerWave(); }

@@ -135,6 +135,12 @@ bool batchable(const SessionOptions& o) {
   return !o.hasFaults && !o.guards && !o.wantMetrics && o.amInitial.empty();
 }
 
+/// Lane batching pays only where control is lane-uniform: a program whose
+/// gates follow its input data would diverge and rerun every lane solo.
+bool lanesAgree(const Session::State& st) {
+  return st.prog->schedule.decline != sched::Decline::DataDependentControl;
+}
+
 /// Two units can share an engine run: same resident program (same pointer —
 /// the cache guarantees one object per key) and identical run knobs.
 bool compatible(const Session::State& a, const Session::State& b) {
@@ -143,10 +149,13 @@ bool compatible(const Session::State& a, const Session::State& b) {
          a.opts.maxInstructionTimes == b.opts.maxInstructionTimes;
 }
 
-/// Every wave-run is EventDriven (the RunOptions default): the scheduler is
-/// the server's choice, not a session option.
+/// The scheduler is the server's choice, not a session option: Compiled
+/// where the program's steady schedule is accepted, EventDriven otherwise.
 machine::RunOptions runOptionsFor(const Session::State& st) {
   machine::RunOptions ro;
+  ro.scheduler = st.prog->schedule.accepted
+                     ? machine::SchedulerKind::Compiled
+                     : machine::SchedulerKind::EventDriven;
   ro.waves = 1;  // one wave-chunk per engine run; streaming = repeated runs
   ro.watchdog = st.opts.watchdog;
   ro.maxInstructionTimes = st.opts.maxInstructionTimes;
@@ -508,6 +517,11 @@ bool Server::stoppingNow() {
   return stopping_;
 }
 
+bool Server::mayBatch(const RunUnit& unit) const {
+  return cfg_.laneWidth > 1 && batchable(unit.st->opts) &&
+         lanesAgree(*unit.st);
+}
+
 void Server::workerLoop() {
   for (;;) {
     std::vector<RunUnit> batch;
@@ -518,8 +532,9 @@ void Server::workerLoop() {
         if (stopping_) return;
         continue;
       }
-      // Optionally linger for a fuller batch before taking a narrow one.
-      if (cfg_.laneWidth > 1 && cfg_.batchWindowMicros > 0 &&
+      // Optionally linger for a fuller batch before taking a narrow one; a
+      // run that rides alone anyway starts at once.
+      if (mayBatch(queue_.front()) && cfg_.batchWindowMicros > 0 &&
           static_cast<int>(queue_.size()) < cfg_.laneWidth) {
         qcv_.wait_for(lk, std::chrono::microseconds(cfg_.batchWindowMicros),
                       [&] {
@@ -530,7 +545,7 @@ void Server::workerLoop() {
       }
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      if (cfg_.laneWidth > 1 && batchable(batch.front().st->opts)) {
+      if (mayBatch(batch.front())) {
         for (auto it = queue_.begin();
              it != queue_.end() &&
              static_cast<int>(batch.size()) < cfg_.laneWidth;) {
@@ -557,12 +572,19 @@ void Server::deliver(RunUnit& unit, std::vector<Value> outWave,
   ++s.wavesCompleted;
   s.stats.cycles += res.cycles;
   s.stats.firings += res.totalFirings;
+  s.stats.firingsSkipped += res.compiled.firingsSkipped;
   s.stats.maxLanes = std::max(s.stats.maxLanes, lanes);
   s.stats.faults.add(res.faults);
   s.maybeFinishLocked();
   s.cv.notify_all();
   lk.unlock();
   dispatchReady(unit.st);  // a finished wave reopens a one-shot's window
+}
+
+void Server::countRun(const machine::MachineResult& res) {
+  if (!res.compiled.fastForwarded) return;
+  std::lock_guard<std::mutex> lk(smu_);
+  ++stats_.fastForwardedRuns;
 }
 
 void Server::fail(RunUnit& unit, Status st, const std::string& why,
@@ -607,6 +629,7 @@ void Server::runSolo(RunUnit& unit) {
       res = machine::simulate(s.prog->program.graph, s.prog->exec,
                               cfg_.machine, unit.inputs, ro);
     }
+    countRun(res);
     if (!res.completed) {
       fail(unit, Status::RunError,
            res.note.empty() ? "run ended with outputs incomplete" : res.note);
@@ -651,6 +674,7 @@ void Server::execute(std::vector<RunUnit> batch) {
     ++stats_.runsExecuted;
     stats_.lanesExecuted += batch.size();
     if (batch.size() > 1) ++stats_.batchedRuns;
+    if (!batch.front().st->prog->schedule.accepted) ++stats_.declinedRuns;
   }
 
   if (batch.size() == 1) {
@@ -668,6 +692,7 @@ void Server::execute(std::vector<RunUnit> batch) {
     machine::RunOptions ro = runOptionsFor(head);
     machine::MachineResult res = machine::simulate(
         head.prog->program.graph, head.prog->exec, cfg_.machine, packed, ro);
+    countRun(res);
     if (!res.completed)
       throw ValueError(res.note.empty() ? "batched run incomplete" : res.note);
     std::vector<run::StreamMap> perLane =

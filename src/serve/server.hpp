@@ -22,14 +22,23 @@
 //     it.  The only threads a Server runs are its `workers` executors;
 //     nothing is started per request.
 //
+//   * The scheduler is the server's choice, read off each cached program's
+//     sched::SteadySchedule: a program whose control is compile-time runs
+//     on the Compiled scheduler, which fast-forwards the §3 steady state;
+//     any other runs on EventDriven.  Both are bit-identical, so no session
+//     option or wire byte chooses.
+//
 //   * Lane-batched execution — wave-runs of different sessions over the SAME
 //     cached program are fused, up to `laneWidth` at a time, into one engine
-//     run over lane-pack Values (serve/lanes.hpp): one firing carries B
+//     run over typed lane packs (serve/lanes.hpp): one firing carries B
 //     tenants' operands, amortizing the per-firing scheduling cost B ways.
 //     Lane l's outputs are bit-identical to that tenant's solo EventDriven
-//     run.  Data-divergent control (or any fault of one tenant's data) makes
-//     the batch fall back: every member is rerun solo, so one tenant's
-//     poison never corrupts or fails another's request.
+//     run.  A program whose schedule declines with DataDependentControl is
+//     never batched: its gates follow each tenant's data, so its lanes
+//     would diverge.  Any fault of one tenant's data (a zero divisor, a
+//     lane of another kind) makes the batch fall back: every member is
+//     rerun solo, so one tenant's poison never corrupts or fails another's
+//     request.
 //
 //   * Per-request error reporting — a compile error, admission rejection,
 //     malformed request, engine stall (run::StallError with its per-cell
@@ -102,6 +111,8 @@ struct SessionOptions {
 struct RequestStats {
   std::int64_t cycles = 0;        ///< engine instruction times, summed
   std::uint64_t firings = 0;      ///< cell firings, summed over waves
+  std::uint64_t firingsSkipped = 0;  ///< of those, fast-forwarded by the
+                                     ///< Compiled scheduler
   int maxLanes = 1;               ///< widest batch this session rode in
   int soloReruns = 0;             ///< wave-runs rerun solo after a batch fell back
   bool cacheHit = false;          ///< program came from the compile-once cache
@@ -130,6 +141,12 @@ struct ServerStats {
   std::uint64_t batchedRuns = 0;    ///< runs with >= 2 lanes
   std::uint64_t lanesExecuted = 0;  ///< wave-runs served (batch members each)
   std::uint64_t batchFallbacks = 0; ///< batches rerun solo (divergence/fault)
+  std::uint64_t fastForwardedRuns = 0;  ///< engine runs, solo reruns
+                                        ///< included, that skipped >= 1
+                                        ///< steady window on Compiled
+  std::uint64_t declinedRuns = 0;   ///< runs (as runsExecuted counts them) of
+                                    ///< programs whose schedule declined, so
+                                    ///< they ran on EventDriven
   std::uint64_t runsShed = 0;       ///< queued runs shed under overload
   std::uint64_t rateLimited = 0;    ///< opens refused by a tenant bucket
   std::uint64_t wavesRecovered = 0; ///< wave-runs that needed a retry
@@ -254,10 +271,13 @@ class Server {
                                               const SessionOptions& sopts,
                                               Response* why);
   void workerLoop();
+  /// The unit may share an engine run with other sessions' units.
+  bool mayBatch(const RunUnit& unit) const;
   void execute(std::vector<RunUnit> batch);
   void runSolo(RunUnit& unit);
   void deliver(RunUnit& unit, std::vector<Value> outWave,
                const machine::MachineResult& res, int lanes);
+  void countRun(const machine::MachineResult& res);  ///< fastForwardedRuns
   void fail(RunUnit& unit, Status st, const std::string& why,
             std::int64_t retryAfterMillis = 0);
   bool enqueue(RunUnit unit);

@@ -297,6 +297,24 @@ TEST(RecoverSnapshot, HostileBytesThrowNotCrash) {
       // expected for most mutations
     }
   }
+
+  // Lane packs: a zero-lane pack and one whose lanes mix kinds are malformed
+  // snapshots, reported as SnapshotError like every other decode failure.
+  Snapshot packed;
+  packed.slots.emplace_back();
+  packed.slots[0].v = Value::pack({Value(1.0), Value(2.0)});
+  const std::string withPack = recover::serialize(packed);
+  EXPECT_EQ(recover::deserialize(withPack).slots.at(0).v, packed.slots[0].v);
+  // Kind byte 3 (pack), width 2, then kind byte 2 (real) of lane 0.
+  const std::size_t at = withPack.find(std::string("\x03\x02\0\0\0\x02", 6));
+  ASSERT_NE(at, std::string::npos);
+  std::string empty = withPack;  // width 0, both lanes (9 bytes each) gone
+  empty.replace(at + 1, 4 + 2 * 9, std::string(4, '\0'));
+  EXPECT_THROW(recover::deserialize(empty), recover::SnapshotError);
+  std::string mixed = withPack;  // lane 1's kind byte: real -> integer
+  ASSERT_EQ(mixed[at + 5 + 9], '\x02');
+  mixed[at + 5 + 9] = '\x01';
+  EXPECT_THROW(recover::deserialize(mixed), recover::SnapshotError);
 }
 
 // --- CheckpointLog retention ---------------------------------------------

@@ -1,8 +1,9 @@
 // End-to-end serving (serve/server.hpp): correctness of one-shot and
 // streaming requests against direct engine runs, admission control, session
-// isolation under injected faults, divergence fallback, backpressure,
-// structured failure reporting, and what a request may cost the process:
-// no thread per request, no memory per declared but unsent wave.  Run under
+// isolation under injected faults, batch fallback, which scheduler ran and
+// which programs batch, backpressure, structured failure reporting, and
+// what a request may cost the process: no thread per request, no memory
+// per declared but unsent wave.  Run under
 // the TSan preset (ctest -L tsan): the whole subsystem is concurrent by
 // construction.
 #include <gtest/gtest.h>
@@ -278,46 +279,171 @@ TEST(Serve, FaultedSessionFailsAloneCleanOnesComplete) {
   server.shutdown();
 }
 
-TEST(Serve, DivergentControlFallsBackToSoloRunsCorrectly) {
-  serve::ServerConfig cfg;
-  cfg.laneWidth = 4;
-  cfg.batchWindowMicros = 20'000;  // wide window so the batch reliably forms
-  serve::Server server(cfg);
+/// A straight-line DAG with a division: its schedule is accepted, so its
+/// requests batch, and a zero divisor is one tenant's data fault.
+std::string quotientSource(int m = 8) {
+  return "const m = " + std::to_string(m) + "\n" + R"(
+function q(A, B: array[real] [1, m] returns array[real])
+  forall i in [1, m]
+  construct A[i] / B[i] + 1.
+  endall
+endfun
+)";
+}
 
+/// Submits every input as a one-shot at once to a server that batches all
+/// of them (one worker, a lane per request, and a batch window long enough
+/// that the batch forms before it runs).
+std::vector<serve::Response> submitTogether(
+    serve::Server& server, const std::string& src,
+    const std::vector<run::StreamMap>& inputs) {
+  std::vector<std::future<serve::Response>> futs;
+  for (const run::StreamMap& in : inputs)
+    futs.push_back(server.submit(src, copts(), in));
+  std::vector<serve::Response> out;
+  for (auto& f : futs) out.push_back(f.get());
+  return out;
+}
+
+serve::ServerConfig batchingConfig(int lanes) {
+  serve::ServerConfig cfg;
+  cfg.laneWidth = lanes;
+  cfg.batchWindowMicros = 2'000'000;  // ends as soon as `lanes` runs queue
+  return cfg;
+}
+
+TEST(Serve, PoisonedLaneFallsBackToSoloRunsCorrectly) {
+  constexpr int kN = 4;
+  serve::Server server(batchingConfig(kN));
+  const std::string src = quotientSource(8);
+  const auto prog = core::compileSource(src, copts());
+
+  // Tenant 2 divides by zero: the batched run throws, the batch falls back,
+  // and only that tenant fails, with its own diagnosis.
+  std::vector<run::StreamMap> inputs;
+  for (int i = 0; i < kN; ++i)
+    inputs.push_back(tenantInputs(prog, 500u + unsigned(i), 0.5, 1.5));
+  inputs[2].at("B")[3] = Value(0.0);
+  const std::vector<serve::Response> rs = submitTogether(server, src, inputs);
+
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.batchedRuns, 1u);
+  EXPECT_EQ(st.batchFallbacks, 1u);
+  for (int i = 0; i < kN; ++i) {
+    const serve::Response& r = rs[static_cast<std::size_t>(i)];
+    EXPECT_EQ(r.stats.soloReruns, 1) << "tenant " << i;
+    if (i == 2) {
+      EXPECT_EQ(r.status, serve::Status::RunError) << r.error;
+      EXPECT_NE(r.error.find("division by zero"), std::string::npos)
+          << r.error;
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+    EXPECT_EQ(r.outputs.at(prog.outputName),
+              directRun(prog, inputs[static_cast<std::size_t>(i)])
+                  .at(prog.outputName))
+        << "tenant " << i << " corrupted by the fallback path";
+  }
+  server.shutdown();
+}
+
+TEST(Serve, MixedLaneKindsFallBackToSoloRuns) {
+  constexpr int kN = 4;
+  serve::Server server(batchingConfig(kN));
+  const std::string src = testing::example1Source(8);
+  const auto prog = core::compileSource(src, copts());
+
+  // Tenant 1 sends integers to real streams.  A pack holds one lane kind,
+  // so this batch cannot pack; every tenant still gets its solo result.
+  std::vector<run::StreamMap> inputs;
+  for (int i = 0; i < kN; ++i)
+    inputs.push_back(tenantInputs(prog, 700u + unsigned(i)));
+  for (auto& [name, stream] : inputs[1])
+    for (Value& v : stream)
+      v = Value(static_cast<std::int64_t>(v.asReal() * 100));
+  const std::vector<serve::Response> rs = submitTogether(server, src, inputs);
+
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.batchedRuns, 1u);
+  EXPECT_EQ(st.batchFallbacks, 1u);
+  for (int i = 0; i < kN; ++i) {
+    const serve::Response& r = rs[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+    EXPECT_EQ(r.stats.soloReruns, 1) << "tenant " << i;
+    EXPECT_EQ(r.outputs.at(prog.outputName),
+              directRun(prog, inputs[static_cast<std::size_t>(i)])
+                  .at(prog.outputName))
+        << "tenant " << i << " differs from its solo run";
+  }
+  server.shutdown();
+}
+
+TEST(Serve, DataDependentControlIsNeverBatched) {
+  constexpr int kN = 4;
+  serve::Server server(batchingConfig(kN));
   const std::string src = condSource(8);
   const auto prog = core::compileSource(src, copts());
 
-  // Tenants whose C signs differ: the `C[i] > 0.` gate control diverges
-  // across lanes, so a fused batch cannot run — it must fall back to solo
-  // reruns and still produce every tenant's exact outputs.
-  constexpr int kN = 4;
+  // Tenants whose C signs differ would diverge at the `C[i] > 0.` gate; the
+  // program's schedule declines with DataDependentControl, so its runs are
+  // never batched and nothing is rerun.
   std::vector<run::StreamMap> inputs;
   for (int i = 0; i < kN; ++i) {
     const double lo = i % 2 == 0 ? 0.1 : -1.0;
     const double hi = i % 2 == 0 ? 1.0 : -0.1;
     inputs.push_back(tenantInputs(prog, 500u + unsigned(i), lo, hi));
   }
-  std::vector<std::future<serve::Response>> futs;
-  for (int i = 0; i < kN; ++i)
-    futs.push_back(
-        server.submit(src, copts(), inputs[static_cast<std::size_t>(i)]));
+  const std::vector<serve::Response> rs = submitTogether(server, src, inputs);
 
-  bool anyRerun = false;
   for (int i = 0; i < kN; ++i) {
-    const serve::Response r = futs[static_cast<std::size_t>(i)].get();
+    const serve::Response& r = rs[static_cast<std::size_t>(i)];
     ASSERT_TRUE(r.ok()) << serve::toString(r.status) << ": " << r.error;
+    EXPECT_EQ(r.stats.soloReruns, 0) << "tenant " << i;
+    EXPECT_EQ(r.stats.maxLanes, 1) << "tenant " << i;
     EXPECT_EQ(r.outputs.at(prog.outputName),
               directRun(prog, inputs[static_cast<std::size_t>(i)])
                   .at(prog.outputName))
-        << "tenant " << i << " corrupted by the fallback path";
-    anyRerun = anyRerun || r.stats.soloReruns > 0;
+        << "tenant " << i << " differs from its direct run";
   }
-  // The fallback actually happened (a batch formed and then diverged).
   const serve::ServerStats st = server.stats();
-  if (st.batchedRuns > 0) {
-    EXPECT_GE(st.batchFallbacks, 1u);
-    EXPECT_TRUE(anyRerun);
-  }
+  EXPECT_EQ(st.batchedRuns, 0u);
+  EXPECT_EQ(st.batchFallbacks, 0u);
+  EXPECT_EQ(st.runsExecuted, std::uint64_t(kN));
+  EXPECT_EQ(st.declinedRuns, std::uint64_t(kN));
+  server.shutdown();
+}
+
+TEST(Serve, StatsSayWhichPathRan) {
+  serve::Server server;
+  // Example 1 (fig6) has compile-time control: it runs on the Compiled
+  // scheduler and fast-forwards its steady state.  The conditional (fig5)
+  // declines and runs on EventDriven, skipping nothing.
+  const std::string fig6 = testing::example1Source(128);
+  const std::string fig5 = condSource(128);
+  const auto prog6 = core::compileSource(fig6, copts());
+  const auto prog5 = core::compileSource(fig5, copts());
+  const run::StreamMap in6 = tenantInputs(prog6, 11);
+  const run::StreamMap in5 = tenantInputs(prog5, 12);
+
+  const serve::Response r6 = server.submit(fig6, copts(), in6).get();
+  ASSERT_TRUE(r6.ok()) << r6.error;
+  EXPECT_GT(r6.stats.firingsSkipped, 0u);
+  EXPECT_LT(r6.stats.firingsSkipped, r6.stats.firings);
+  EXPECT_EQ(r6.outputs.at(prog6.outputName),
+            directRun(prog6, in6).at(prog6.outputName));
+
+  const serve::Response r5 = server.submit(fig5, copts(), in5).get();
+  ASSERT_TRUE(r5.ok()) << r5.error;
+  EXPECT_EQ(r5.stats.firingsSkipped, 0u);
+  EXPECT_EQ(r5.stats.soloReruns, 0);
+  EXPECT_GT(r5.stats.firings, 0u);
+  EXPECT_EQ(r5.outputs.at(prog5.outputName),
+            directRun(prog5, in5).at(prog5.outputName));
+
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.runsExecuted, 2u);
+  EXPECT_EQ(st.fastForwardedRuns, 1u);
+  EXPECT_EQ(st.declinedRuns, 1u);
   server.shutdown();
 }
 
